@@ -27,7 +27,6 @@ from .scan import (
     ScanBranch,
     ScanHit,
     SubstitutionChain,
-    TableRow,
     expand_branches,
     initial_quadratic,
     recover_xy,
@@ -49,7 +48,6 @@ __all__ = [
     "ScanBranch",
     "ScanHit",
     "SubstitutionChain",
-    "TableRow",
     "TwoRepWitness",
     "Verdict",
     "certificate_from_json",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .arith import check_magnitude, isqrt
+from .arith import check_magnitude, isqrt, parse_decimal
 from .classify import EligibilityStatus, classify
 from .factorize import TwoRepWitness, factor_with_witness
 from .represent import Representation, oracle_representations, representations
@@ -122,12 +122,7 @@ def _is_prime_trial(n: int) -> bool:
         return False
     if n % 2 == 0:
         return n == 2
-    d = 3
-    while d <= isqrt(n):
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return all(n % d for d in range(3, isqrt(n) + 1, 2))
 
 
 def _witness_consistent(number: int, w: TwoRepWitness) -> bool:
@@ -230,10 +225,10 @@ def certificate_to_json(cert: Certificate) -> str:
 def _parse_int(value, what: str) -> int:
     if not isinstance(value, str):
         raise CertificateError(f"{what} must be a decimal string")
-    try:
-        return int(value, 10)
-    except ValueError as exc:
-        raise CertificateError(f"{what} is not a decimal integer: {value!r}") from exc
+    number = parse_decimal(value)
+    if number is None:
+        raise CertificateError(f"{what} is not a plain decimal integer: {value!r}")
+    return number
 
 
 def _rep_from_json(doc, what: str) -> Representation:

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .arith import MAX_MAGNITUDE
+from .arith import MAX_MAGNITUDE, parse_decimal
 from .certify import (
     Certificate,
     CertificateError,
@@ -23,19 +24,23 @@ from .certify import (
 )
 from .classify import classify
 from .report import render_difference_table, render_scan_table, sweep_csv
-from .represent import representations
+from .represent import representations_from_hits
 from .scan import expand_branches, initial_quadratic, scan_branch
 
 
 def _natural(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must be nonnegative")
+    value = parse_decimal(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not a plain nonnegative decimal integer: {text!r}")
     if value > MAX_MAGNITUDE:
         raise argparse.ArgumentTypeError("value exceeds the supported magnitude 2**63 - 1")
+    return value
+
+
+def _jobs(text: str) -> int:
+    value = _natural(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("--jobs must be at least 1")
     return value
 
 
@@ -84,19 +89,21 @@ def _branch_reports(n: int) -> str:
         )
     root = initial_quadratic(n, elig.roots_mod25[0])
     blocks = [f"n = {n}, substitution x = 25 t + {elig.roots_mod25[0]}", root.describe(), ""]
+    all_hits = []
     for leaf in expand_branches(root):
         if not leaf.scannable:
             blocks.append(leaf.describe())
             blocks.append("")
             continue
-        hits, rows = scan_branch(leaf)
-        blocks.append(render_difference_table(leaf, rows).rstrip("\n"))
+        hits, ts = scan_branch(leaf)
+        all_hits.extend(hits)
+        blocks.append(render_difference_table(leaf, ts).rstrip("\n"))
         blocks.append("")
-        blocks.append(render_scan_table(leaf, rows, hits).rstrip("\n"))
+        blocks.append(render_scan_table(leaf, ts, hits).rstrip("\n"))
         for hit in hits:
             blocks.append(f"hit: t = {hit.t}, value = {hit.value} = {hit.root}^2")
         blocks.append("")
-    reps = representations(n)
+    reps = representations_from_hits(n, all_hits)
     if reps:
         listed = ", ".join(f"({r.a}, {r.b})" for r in reps)
         blocks.append(f"representations: {listed}")
@@ -156,8 +163,9 @@ def _eligible_range(lo: int, hi: int) -> list[int]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     ns = _eligible_range(args.start, args.stop)
-    if args.jobs > 1 and ns:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, os.cpu_count() or 1, len(ns))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             certs = list(pool.map(decide, ns, chunksize=64))
     else:
         certs = [decide(n) for n in ns]
@@ -209,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("start", type=_natural)
     p.add_argument("stop", type=_natural)
     p.add_argument("--out", metavar="FILE")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="check a certificate file independently")

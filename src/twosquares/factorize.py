@@ -29,6 +29,7 @@ from math import gcd
 
 from .arith import reduce_fraction
 from .represent import Representation
+from .scan import InternalConsistencyError
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,11 @@ def _validate_pair(number: int, rep1: Representation, rep2: Representation) -> N
         raise ValueError("the two representations must be distinct")
 
 
+def _check_split(number: int, f1: int, f2: int) -> None:
+    if f1 * f2 != number or not 1 < f1 <= f2 < number:
+        raise InternalConsistencyError(f"{f1} * {f2} is not a nontrivial split of {number}")
+
+
 def _even_odd(rep: Representation) -> tuple[int, int]:
     if rep.a % 2 == 0:
         return rep.a, rep.b
@@ -77,12 +83,15 @@ def _derive(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int, int, in
     """Common k, l, m, n derivation; returns (u, v, k, l, m, n)."""
     u = abs(a - c)
     v = abs(d - b)
-    assert u > 0 and v > 0, "distinct representations cannot collide"
+    if u == 0 or v == 0:
+        raise InternalConsistencyError("distinct representations cannot collide")
     k = gcd(u, v)
     l, m = u // k, v // k
     n, rem = divmod(a + c, m)
-    assert rem == 0, "m must divide a + c"
-    assert l * n == d + b, "cross-identity l*n = d + b failed"
+    if rem != 0:
+        raise InternalConsistencyError("m must divide a + c")
+    if l * n != d + b:
+        raise InternalConsistencyError("cross-identity l*n = d + b failed")
     return u, v, k, l, m, n
 
 
@@ -96,11 +105,12 @@ def klmn_factor(number: int, rep1: Representation, rep2: Representation) -> TwoR
     _validate_pair(number, rep1, rep2)
     (a, b), (c, d) = sorted((_even_odd(rep1), _even_odd(rep2)), reverse=True)
     u, v, k, l, m, n = _derive(a, b, c, d)
-    assert k % 2 == 0 and n % 2 == 0, "even/odd arrangement forces k, n even"
+    if k % 2 or n % 2:
+        raise InternalConsistencyError("even/odd arrangement forces k, n even")
     f1 = (k // 2) ** 2 + (n // 2) ** 2
     f2 = l * l + m * m
     f1, f2 = sorted((f1, f2))
-    assert f1 * f2 == number and 1 < f1 <= f2 < number
+    _check_split(number, f1, f2)
     return TwoRepWitness(rep1, rep2, a, b, c, d, u, v, k, l, m, n, f1, f2)
 
 
@@ -112,11 +122,12 @@ def klmn_factor_mixed(number: int, rep1: Representation, rep2: Representation) -
     a, b = _even_odd(rep1)
     d, c = _even_odd(rep2)
     u, v, k, l, m, n = _derive(a, b, c, d)
-    assert all(x % 2 == 1 for x in (k, l, m, n)), "mixed arrangement forces k,l,m,n odd"
+    if not all(x % 2 == 1 for x in (k, l, m, n)):
+        raise InternalConsistencyError("mixed arrangement forces k,l,m,n odd")
     f1 = (k * k + n * n) // 2
     f2 = (l * l + m * m) // 2
     f1, f2 = sorted((f1, f2))
-    assert f1 * f2 == number and 1 < f1 <= f2 < number
+    _check_split(number, f1, f2)
     return TwoRepWitness(rep1, rep2, a, b, c, d, u, v, k, l, m, n, f1, f2)
 
 
@@ -157,9 +168,10 @@ def factor_with_witness(number: int, reps: list[Representation]) -> TwoRepWitnes
     rep1, rep2 = select_pair(reps)
     witness = klmn_factor(number, rep1, rep2)
     g = gcd_fraction_factor(number, rep1, rep2)
-    assert (witness.f1 * witness.f2) % g == 0 and g not in (1, number), (
-        f"factor routes inconsistent on {number}: {g} vs {witness.f1}*{witness.f2}"
-    )
+    if (witness.f1 * witness.f2) % g != 0 or g in (1, number):
+        raise InternalConsistencyError(
+            f"factor routes inconsistent on {number}: {g} vs {witness.f1}*{witness.f2}"
+        )
     return witness
 
 

@@ -64,8 +64,13 @@ def representations(n: int, *, respect_pruning: bool = True) -> list[Representat
     Sorted by descending a.  Empty when n is a non-residue mod 25.
     Raises ValueError for ineligible n.
     """
-    found = {Representation.of(*recover_xy(h, n)) for h in scan_hits(n, respect_pruning=respect_pruning)}
-    return _canonical(found)
+    return representations_from_hits(n, scan_hits(n, respect_pruning=respect_pruning))
+
+
+def representations_from_hits(n: int, hits: list[ScanHit]) -> list[Representation]:
+    """The distinct representations of n that scan hits map back to,
+    sorted by descending a."""
+    return _canonical({Representation.of(*recover_xy(h, n)) for h in hits})
 
 
 def oracle_representations(n: int) -> list[Representation]:

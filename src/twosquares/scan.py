@@ -14,19 +14,22 @@ the square residues {0, 1, 4} the branch is pruned (values always
 5 mod 8, values always oddly even, or some other non-residue pattern)
 and never scanned.
 
-Surviving branches are scanned incrementally: successive values of a
-downward parabola differ by first differences that grow by exactly
-2*gamma per step, so each row costs one subtraction.  Every nonnegative
-value is square-tested; hits map back through the substitution chain to
-a representation N = x^2 + y^2.
+Surviving branches are scanned incrementally over the exact range of t
+where the branch is nonnegative: successive values of a downward
+parabola differ by first differences that grow by exactly 2*gamma per
+step, so each row costs one subtraction.  Every value is square-tested
+(mod-8 prefilter, then isqrt); hits map back through the substitution
+chain to a representation N = x^2 + y^2.  The scan keeps no rows: the
+tables in report.py are rendered from the visited range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .arith import check_magnitude, is_perfect_square, isqrt
+from .arith import SQUARE_RESIDUES_MOD_8, check_magnitude, isqrt
 
 #: quadratic coefficient of refinable branches (the residual's 25)
 _REFINABLE_GAMMA = 25
@@ -36,7 +39,7 @@ MAX_REFINE_DEPTH = 4
 
 
 class InternalConsistencyError(RuntimeError):
-    """A scan result failed its own cross-check; indicates a bug."""
+    """A result failed its own cross-check; indicates a bug."""
 
 
 class PruneReason(Enum):
@@ -120,21 +123,6 @@ class ScanHit:
     t: int
     value: int
     root: int
-
-
-@dataclass(frozen=True)
-class TableRow:
-    """One visited t: cumulative subtrahend, first difference into this
-    row (None on the starting row), and the running value.
-
-    Consecutive differences on one side of the start differ by exactly
-    2*gamma.
-    """
-
-    t: int
-    subtrahend: int
-    difference: int | None
-    running_value: int
 
 
 def _prune_reason(q: Quadratic) -> PruneReason | None:
@@ -248,82 +236,51 @@ def expand_branches(root: ScanBranch, *, respect_pruning: bool = True) -> list[S
     refinement decision (used by the pruning-equivalence checks).
     """
     leaves: list[ScanBranch] = []
-
-    def walk(br: ScanBranch) -> None:
+    stack = [root]
+    while stack:
+        br = stack.pop()
         refinable = (
             br.quadratic.gamma == _REFINABLE_GAMMA
             and br.depth < MAX_REFINE_DEPTH
             and (br.scannable or not respect_pruning)
         )
-        if not refinable:
+        if refinable:
+            stack.extend(reversed(refine(br)))
+        else:
             leaves.append(br)
-            return
-        for child in refine(br):
-            walk(child)
-
-    walk(root)
     return leaves
 
 
-def _scan_start(q: Quadratic) -> int | None:
-    """Starting t for the scan, or None if Q is everywhere negative.
-
-    Normally 0 (matching the hand tables).  When Q(0) < 0 the only
-    possible nonnegative region hugs the vertex -beta/(2*gamma), so try
-    the two integers around it.
-    """
-    if q.value_at(0) >= 0:
-        return 0
-    lo = -q.beta // (2 * q.gamma)
-    best = max((lo, lo + 1), key=q.value_at)
-    return best if q.value_at(best) >= 0 else None
-
-
-def scan_branch(branch: ScanBranch) -> tuple[list[ScanHit], list[TableRow]]:
+def scan_branch(branch: ScanBranch) -> tuple[list[ScanHit], range]:
     """Visit every integer t with Q(t) >= 0 and collect the perfect
     squares among the values.
 
-    The running value is maintained by subtracting first differences
-    that grow by 2*gamma per step; the direct evaluation is kept only
-    as a per-row cross-check.  Rows are returned sorted by t; the
-    starting row is the one with difference None.
+    Returns (hits, ts): the hits sorted by t, and ts, the range of
+    exactly the t with Q(t) >= 0 (empty when Q is everywhere negative).
+    Since 4*gamma*Q(t) = beta^2 + 4*gamma*m - (2*gamma*t + beta)^2, that
+    range is |2*gamma*t + beta| <= isqrt(beta^2 + 4*gamma*m).  It is
+    walked upward once; the running value drops by a first difference
+    that grows by 2*gamma per step.
     """
     q = branch.quadratic
-    t0 = _scan_start(q)
-    if t0 is None:
-        return [], []
-
     hits: list[ScanHit] = []
-    rows: list[TableRow] = []
-
-    def visit(t: int, value: int, difference: int | None) -> None:
-        if value != q.value_at(t):
-            raise InternalConsistencyError(
-                f"incremental value {value} != Q({t}) on branch {branch.name}"
-            )
-        rows.append(TableRow(t, q.m - value, difference, value))
-        root = is_perfect_square(value)
-        if root is not None:
-            hits.append(ScanHit(branch, t, value, root))
-
-    head = q.value_at(t0)
-    visit(t0, head, None)
-    for direction in (1, -1):
-        # first difference leaving t0 in this direction
-        diff = direction * q.beta + q.gamma * (2 * direction * t0 + 1)
-        value, t = head, t0
-        while True:
-            nxt = value - diff
-            if nxt < 0:
-                break
-            t += direction
-            visit(t, nxt, diff)
-            value = nxt
-            diff += 2 * q.gamma
-
-    rows.sort(key=lambda r: r.t)
-    hits.sort(key=lambda h: h.t)
-    return hits, rows
+    disc = q.beta * q.beta + 4 * q.gamma * q.m
+    if disc < 0:
+        return hits, range(0)
+    r = math.isqrt(disc)
+    ts = range(-((r + q.beta) // (2 * q.gamma)), (r - q.beta) // (2 * q.gamma) + 1)
+    value = q.value_at(ts.start)
+    # Q(t) - Q(t + 1) at t = ts.start
+    diff = q.beta + q.gamma * (2 * ts.start + 1)
+    step = 2 * q.gamma
+    for t in ts:
+        if value & 7 in SQUARE_RESIDUES_MOD_8:
+            root = math.isqrt(value)
+            if root * root == value:
+                hits.append(ScanHit(branch, t, value, root))
+        value -= diff
+        diff += step
+    return hits, ts
 
 
 def recover_xy(hit: ScanHit, n: int) -> tuple[int, int]:

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +10,12 @@ from twosquares.arith import (
     gcd,
     is_perfect_square,
     isqrt,
+    parse_decimal,
     reduce_fraction,
 )
+
+# the reference for parse_decimal: [0-9], not \d, which matches any script's digits
+DECIMAL = re.compile("0|[1-9][0-9]{0,18}")
 
 
 def test_isqrt_examples():
@@ -105,3 +112,19 @@ def test_reduce_fraction_properties(p, q):
     rp, rq = reduce_fraction(p, q)
     assert gcd(rp, rq) == 1 or rp == 0
     assert rp * q == rq * p
+
+
+def test_parse_decimal_matches_reference_pattern():
+    alphabet = "0123456789+-_ \n\t.e١０９²"
+    corpus = ["".join(p) for k in range(4) for p in itertools.product(alphabet, repeat=k)]
+    corpus += ["1" * 19, "1" * 20, "9" * 19, str(MAX_MAGNITUDE), "0" * 19, "1000081"]
+    for text in corpus:
+        expected = int(text) if DECIMAL.fullmatch(text) else None
+        assert parse_decimal(text) == expected, repr(text)
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from("0123456789"), st.characters()), max_size=22))
+@settings(max_examples=200, deadline=None)
+def test_parse_decimal_matches_reference_pattern_random(text):
+    expected = int(text) if DECIMAL.fullmatch(text) else None
+    assert parse_decimal(text) == expected

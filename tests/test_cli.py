@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from twosquares import cli
 from twosquares.cli import main
 
 
@@ -124,16 +125,50 @@ def test_sweep_deterministic_across_jobs(capsys, tmp_path):
     assert f1.read_bytes() == f2.read_bytes() == f3.read_bytes()
 
 
-def test_numeric_arguments_validated():
-    with pytest.raises(SystemExit) as exc:
-        main(["prove", "abc"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", str(2**63)])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["prove", "-5"])
-    assert exc.value.code == 2
+def test_numeric_arguments_validated(capsys):
+    argvs = [["prove", "abc"], ["classify", str(2**63)], ["prove", "-5"]]
+    # other spellings of 1000081 that int() accepts
+    for text in ("1_000_081", " 1000081", "+1000081", "01000081", "1000081\n", "１００００８１"):
+        argvs.append(["prove", text])
+    for text in ("0", "-3", "1_0"):
+        argvs.append(["sweep", "1", "9", "--jobs", text])
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+
+
+def test_sweep_jobs_clamped(capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers and
+        maps in-process, so no worker starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    _, serial, _ = run(capsys, "sweep", "1000000", "1000400")
+    # 4 CPUs bound a huge --jobs; 3 eligible n bound it further;
+    # a pool of one runs serially without a pool
+    assert run(capsys, "sweep", "1000000", "1000400", "--jobs", "1000000")[1] == serial
+    assert run(capsys, "sweep", "1000001", "1000021", "--jobs", "1000000")[0] == 0
+    assert run(capsys, "sweep", "1000001", "1000001", "--jobs", "1000000")[0] == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert run(capsys, "sweep", "1000000", "1000400", "--jobs", "8")[1] == serial
+    assert sizes == [4, 3]
 
 
 def test_cli_output_byte_identical(capsys):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,3 +135,23 @@ def test_identity_on_constructed_products(a, b, c, d):
     assert w.f1 * w.f2 == n and 1 < w.f1 <= w.f2 < n
     g = gcd_fraction_factor(n, r1, r2)
     assert n % g == 0 and 1 < g < n
+
+
+def test_internal_checks_survive_optimized_mode():
+    # under python -O an assert would vanish and _derive would return u = 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "from twosquares.factorize import _derive\n"
+        "from twosquares.scan import InternalConsistencyError\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    print(_derive(1, 2, 1, 3))\n"
+        "except InternalConsistencyError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\nraised: distinct representations cannot collide\n"

@@ -19,19 +19,24 @@ def golden_check(name, text):
 
 def test_difference_table_worked_composite():
     br = branch_named(1000009, "B")
-    _, rows = scan_branch(br)
-    text = render_difference_table(br, rows)
+    _, ts = scan_branch(br)
+    text = render_difference_table(br, ts)
     golden_check("b_1000009_diff.txt", text)
     # the slow side's subtrahends and first differences, per the hand table
-    minus = sorted((r for r in rows if r.t < 0), key=lambda r: -r.t)
-    assert [r.subtrahend for r in minus[:4]] == [176, 1152, 2928, 5504]
-    assert [r.difference for r in minus[:4]] == [176, 976, 1776, 2576]
+    lines = text.splitlines()
+    assert lines[1].split() == ["c", "|", "400c^2-224c", "|", "diff", "|", "400c^2+224c", "|", "diff"]
+    near = [line.split("|")[1:3] for line in lines[3:7]]
+    assert [(int(sub), int(diff)) for sub, diff in near] == [
+        (176, 176), (1152, 976), (2928, 1776), (5504, 2576),
+    ]
+    q = br.quadratic
+    assert [q.m - q.value_at(t) for t in range(-1, -5, -1)] == [176, 1152, 2928, 5504]
 
 
 def test_scan_table_worked_composite():
     br = branch_named(1000009, "B")
-    hits, rows = scan_branch(br)
-    text = render_scan_table(br, rows, hits)
+    hits, ts = scan_branch(br)
+    text = render_scan_table(br, ts, hits)
     golden_check("b_1000009_scan.txt", text)
     assert "*  2209" in text
     assert text.count("*") == 1
@@ -39,8 +44,8 @@ def test_scan_table_worked_composite():
 
 def test_scan_table_no_hits():
     br = branch_named(1000081, "C")
-    hits, rows = scan_branch(br)
-    text = render_scan_table(br, rows, hits)
+    hits, ts = scan_branch(br)
+    text = render_scan_table(br, ts, hits)
     golden_check("c_1000081_scan.txt", text)
     assert "1273" in text
     assert "*" not in text
@@ -48,9 +53,9 @@ def test_scan_table_no_hits():
 
 def test_tables_reduced_even_branch():
     br = branch_named(1000081, "A.e0")
-    hits, rows = scan_branch(br)
-    diff = render_difference_table(br, rows)
-    scan = render_scan_table(br, rows, hits)
+    hits, ts = scan_branch(br)
+    diff = render_difference_table(br, ts)
+    scan = render_scan_table(br, ts, hits)
     golden_check("a_e0_1000081_diff.txt", diff)
     golden_check("a_e0_1000081_scan.txt", scan)
     # ends at 45; the only square is the head value 2500
@@ -62,8 +67,8 @@ def test_tables_reduced_even_branch():
 
 def test_tables_odd_branch_prime_case():
     br = branch_named(1000081, "A.o3")
-    hits, rows = scan_branch(br)
-    golden_check("a_o3_1000081_scan.txt", render_scan_table(br, rows, hits))
+    hits, ts = scan_branch(br)
+    golden_check("a_o3_1000081_scan.txt", render_scan_table(br, ts, hits))
     assert hits == []
 
 
@@ -75,8 +80,8 @@ def test_every_hit_marked_and_every_mark_square():
         for br in expand_branches(root):
             if not br.scannable:
                 continue
-            hits, rows = scan_branch(br)
-            text = render_scan_table(br, rows, hits)
+            hits, ts = scan_branch(br)
+            text = render_scan_table(br, ts, hits)
             starred = [
                 int(line.replace("*", "").strip())
                 for line in text.splitlines()
@@ -90,16 +95,17 @@ def test_every_hit_marked_and_every_mark_square():
 
 def test_empty_rows_render_header_only():
     br = initial_quadratic(21, 11)
-    assert render_difference_table(br, []).splitlines()[0].startswith("branch Q")
-    assert "(no rows)" in render_difference_table(br, [])
-    assert "(no rows)" in render_scan_table(br, [], [])
+    hits, ts = scan_branch(br)
+    assert render_difference_table(br, ts).splitlines()[0].startswith("branch Q")
+    assert "(no rows)" in render_difference_table(br, ts)
+    assert "(no rows)" in render_scan_table(br, ts, hits)
 
 
 def test_rendering_is_pure():
     br = branch_named(1000009, "B")
-    hits, rows = scan_branch(br)
-    assert render_scan_table(br, rows, hits) == render_scan_table(br, rows, hits)
-    assert render_difference_table(br, rows) == render_difference_table(br, rows)
+    hits, ts = scan_branch(br)
+    assert render_scan_table(br, ts, hits) == render_scan_table(br, ts, hits)
+    assert render_difference_table(br, ts) == render_difference_table(br, ts)
 
 
 def test_sweep_csv_golden():

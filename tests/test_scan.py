@@ -1,7 +1,12 @@
+import gc
+import math
+
 import pytest
 
 from twosquares.arith import isqrt
+from twosquares.certify import decide
 from twosquares.classify import classify
+from twosquares.report import render_difference_table, render_scan_table
 from twosquares.scan import (
     MAX_REFINE_DEPTH,
     AffineStep,
@@ -115,30 +120,41 @@ def test_divisor_always_square():
             assert d == 25
 
 
+def vertex_island_branch():
+    # Q(0) < 0 <= Q near the vertex: nonnegative only for t = 1, 2, 3
+    return ScanBranch(
+        name="synthetic",
+        quadratic=Quadratic(-4, -100, 25),
+        chain=SubstitutionChain(steps=(AffineStep(25, 1),), divisor=25),
+        prune_reason=None,
+        depth=0,
+    )
+
+
 def test_scan_branch_b_single_hit():
-    lv = leaves_of(1000009)
-    hits, rows = scan_branch(lv["B"])
+    br = leaves_of(1000009)["B"]
+    q = br.quadratic
+    hits, ts = scan_branch(br)
     assert [(h.t, h.value, h.root) for h in hits] == [(-10, 2209, 47)]
+    assert ts == range(-10, 10)
     # full negative side matches the hand computation
-    minus = [r for r in rows if r.t < 0]
-    minus.sort(key=lambda r: -r.t)
-    assert [r.running_value for r in minus] == [
+    minus = range(-1, ts.start - 1, -1)
+    assert [q.value_at(t) for t in minus] == [
         39793, 38817, 37041, 34465, 31089, 26913, 21937, 16161, 9585, 2209,
     ]
-    assert [r.difference for r in minus] == [
+    assert [q.value_at(t + 1) - q.value_at(t) for t in minus] == [
         176, 976, 1776, 2576, 3376, 4176, 4976, 5776, 6576, 7376,
     ]
-    plus = [r for r in rows if r.t > 0]
-    assert [r.running_value for r in plus] == [
+    assert [q.value_at(t) for t in range(1, ts.stop)] == [
         39345, 37921, 35697, 32673, 28849, 24225, 18801, 12577, 5553,
     ]
 
 
 def test_scan_branch_c_no_hits():
     lv = leaves_of(1000081)
-    hits, rows = scan_branch(lv["C"])
+    hits, ts = scan_branch(lv["C"])
     assert hits == []
-    plus = [r.running_value for r in rows if r.t > 0]
+    plus = [lv["C"].quadratic.value_at(t) for t in ts if t > 0]
     assert plus[-1] == 1273
     assert plus == [39721, 38649, 36777, 34105, 30633, 26361, 21289, 15417, 8745, 1273]
 
@@ -149,6 +165,22 @@ def test_scan_branch_reduced_even_hit():
     assert [(h.t, h.value, h.root) for h in hits] == [(0, 2500, 50)]
 
 
+def table_columns(text):
+    """(subtrahends, diffs) per side, from a rendered difference table;
+    each side is read outward from the head row, which has no diff."""
+    subs, diffs = ([], []), ([], [])
+    for line in text.splitlines()[2:]:
+        cells = [c.strip() for c in line.split("|")][1:]
+        cells += [""] * (4 - len(cells))
+        for side in (0, 1):
+            sub, diff = cells[2 * side:2 * side + 2]
+            if sub:
+                subs[side].append(int(sub))
+            if diff:
+                diffs[side].append(int(diff))
+    return subs, diffs
+
+
 def test_difference_law():
     # consecutive differences on one side differ by exactly 2*gamma
     for n in (1000009, 1000081, 349, 1000):
@@ -157,27 +189,44 @@ def test_difference_law():
         for leaf in leaves_of(n).values():
             if not leaf.scannable:
                 continue
-            _, rows = scan_branch(leaf)
-            if not rows:
+            _, ts = scan_branch(leaf)
+            if not ts:
                 continue
-            head_t = next(r.t for r in rows if r.difference is None)
-            for side in (
-                sorted((r for r in rows if r.t > head_t), key=lambda r: r.t),
-                sorted((r for r in rows if r.t < head_t), key=lambda r: -r.t),
-            ):
-                diffs = [r.difference for r in side]
-                for d1, d2 in zip(diffs, diffs[1:]):
+            _, diffs = table_columns(render_difference_table(leaf, ts))
+            assert sum(map(len, diffs)) == len(ts) - 1
+            for side in diffs:
+                for d1, d2 in zip(side, side[1:]):
                     assert d2 - d1 == 2 * leaf.quadratic.gamma
 
 
+def scan_table_values(text):
+    """Values per side, from a rendered scan table, read outward from
+    the head; the lines under each side header alternate value, diff."""
+    sides = []
+    for line in text.splitlines()[1:]:
+        if line.startswith("side "):
+            sides.append([])
+        else:
+            sides[-1].append(line)
+    return tuple([int(v.replace("*", "")) for v in side[::2]] for side in sides)
+
+
 def test_incremental_matches_direct():
+    # both tables show Q(t) for every visited t once per side (the head
+    # row opens both), and subtrahend = m - value on every row
     for n in (1000009, 1000081, 29, 41):
         for leaf in leaves_of(n).values():
-            _, rows = scan_branch(leaf)
-            for row in rows:
-                q = leaf.quadratic
-                assert row.running_value == q.value_at(row.t)
-                assert row.subtrahend == q.m - row.running_value
+            q = leaf.quadratic
+            hits, ts = scan_branch(leaf)
+            if not ts:
+                continue
+            subs, _ = table_columns(render_difference_table(leaf, ts))
+            values = scan_table_values(render_scan_table(leaf, ts, hits))
+            for side_subs, side_values in zip(subs, values):
+                assert side_subs == [q.m - v for v in side_values]
+            near, far = values
+            assert near[0] == far[0]
+            assert sorted(near + far[1:]) == sorted(q.value_at(t) for t in ts)
 
 
 def test_pruning_soundness():
@@ -230,31 +279,56 @@ def test_recover_xy_rejects_tampered_hit():
 
 def test_nonsquare_value_is_not_a_hit():
     lv = leaves_of(1000009)
-    hits, rows = scan_branch(lv["B"])
-    t0_row = next(r for r in rows if r.t == 0)
-    assert t0_row.running_value == 39969
+    hits, ts = scan_branch(lv["B"])
+    assert 0 in ts
+    assert lv["B"].quadratic.value_at(0) == 39969
     assert all(h.t != 0 for h in hits)
 
 
 def test_scan_empty_when_everywhere_negative():
     br = initial_quadratic(21, 11)
-    hits, rows = scan_branch(br)
-    assert hits == [] and rows == []
+    hits, ts = scan_branch(br)
+    assert hits == [] and len(ts) == 0
 
 
 def test_scan_starts_at_vertex_when_origin_negative():
     # Q(0) < 0 <= Q near the vertex: the nonnegative island must be found
-    q = Quadratic(-4, -100, 25)
-    br = ScanBranch(
-        name="synthetic",
-        quadratic=q,
-        chain=SubstitutionChain(steps=(AffineStep(25, 1),), divisor=25),
-        prune_reason=None,
-        depth=0,
-    )
-    _, rows = scan_branch(br)
-    assert sorted(r.t for r in rows) == [1, 2, 3]
-    assert {r.t: r.running_value for r in rows} == {1: 71, 2: 96, 3: 71}
+    br = vertex_island_branch()
+    hits, ts = scan_branch(br)
+    assert list(ts) == [1, 2, 3]
+    assert {t: br.quadratic.value_at(t) for t in ts} == {1: 71, 2: 96, 3: 71}
+    # the tables start at the vertex row 96 and step out to 71 on each side
+    text = render_scan_table(br, ts, hits)
+    assert text.splitlines()[1:] == [
+        "side 25c^2-100c:", "  96", "  25", "  71",
+        "side 25c^2+100c:", "  96", "  25", "  71",
+    ]
+
+
+def test_scan_visits_exactly_the_nonnegative_range():
+    # direct guard on the kernel: every leaf, pruned ones included
+    branches = [vertex_island_branch()]
+    for n in (29, 41, 481, 1000009, 1000081, 10**10 + 9):
+        root = initial_quadratic(n, classify(n).roots_mod25[0])
+        branches.extend(expand_branches(root, respect_pruning=False))
+    for br in branches:
+        q = br.quadratic
+        hits, ts = scan_branch(br)
+        squares = [t for t in ts if math.isqrt(q.value_at(t)) ** 2 == q.value_at(t)]
+        assert [h.t for h in hits] == squares, br.name
+        assert all(h.value == q.value_at(h.t) == h.root**2 for h in hits), br.name
+        assert q.value_at(ts.start - 1) < 0 and q.value_at(ts.stop) < 0, br.name
+
+
+def test_decide_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        for n in (1000009, 1000081, 10**10 + 9):
+            decide(n)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_depth_cap():

@@ -1,10 +1,12 @@
-"""Exact integer kernels: integer square root, perfect-square detection,
-gcd and fraction reduction.
+"""Exact integer kernels: perfect-square detection, fraction reduction,
+the one decimal spelling, and the magnitude cap.
 
-Everything here is exact integer arithmetic.  Inputs are capped at
-2**63 - 1; anything larger is rejected rather than silently accepted,
-so results stay reproducible on consumers with fixed-width integers.
-Intermediates may exceed the cap (Python ints are exact at any width).
+Everything here is exact integer arithmetic.  The cap of 2**63 - 1
+keeps results reproducible on consumers with fixed-width integers; it
+is checked once, where N enters (classify, initial_quadratic and
+oracle_representations, and the CLI's number parser), not here on
+every call.  Intermediates may exceed it (Python ints are exact at any
+width).
 """
 
 from __future__ import annotations
@@ -18,29 +20,16 @@ MAX_MAGNITUDE = 2**63 - 1
 SQUARE_RESIDUES_MOD_8 = frozenset({0, 1, 4})
 
 
-def check_magnitude(*values: int) -> None:
-    """Reject negative or out-of-range values (> 2**63 - 1)."""
-    for v in values:
-        if v < 0:
-            raise ValueError(f"expected a nonnegative integer, got {v}")
-        if v > MAX_MAGNITUDE:
-            raise OverflowError(f"{v} exceeds the supported magnitude 2**63 - 1")
-
-
-def isqrt(n: int) -> int:
-    """Largest r with r*r <= n.
-
-    >>> isqrt(2209)
-    47
-    >>> isqrt(55224)
-    234
-    """
-    check_magnitude(n)
-    return math.isqrt(n)
+def check_magnitude(n: int) -> None:
+    """Reject a negative or out-of-range n (> 2**63 - 1)."""
+    if n < 0:
+        raise ValueError(f"expected a nonnegative integer, got {n}")
+    if n > MAX_MAGNITUDE:
+        raise OverflowError(f"{n} exceeds the supported magnitude 2**63 - 1")
 
 
 def is_perfect_square(n: int) -> int | None:
-    """Return the square root of n if n is a perfect square, else None.
+    """Return the square root of n >= 0 if n is a perfect square, else None.
 
     A residue prefilter (mod 8) rejects most non-squares before the
     isqrt confirmation; it only ever skips work, never changes the answer.
@@ -50,7 +39,6 @@ def is_perfect_square(n: int) -> int | None:
     >>> is_perfect_square(1273) is None
     True
     """
-    check_magnitude(n)
     if n % 8 not in SQUARE_RESIDUES_MOD_8:
         return None
     r = math.isqrt(n)
@@ -75,20 +63,13 @@ def parse_decimal(text: str) -> int | None:
     return None
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, b) == b."""
-    check_magnitude(a, b)
-    return math.gcd(a, b)
-
-
 def reduce_fraction(p: int, q: int) -> tuple[int, int]:
     """Reduce p/q to lowest terms.  q must be positive.
 
     >>> reduce_fraction(1235, 975)
     (19, 15)
     """
-    check_magnitude(p, q)
-    if q == 0:
+    if q <= 0:
         raise ValueError("fraction denominator must be positive")
     g = math.gcd(p, q)
     return (p // g, q // g)

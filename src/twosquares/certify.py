@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
+from math import gcd, isqrt
 
-from .arith import check_magnitude, isqrt, parse_decimal
+from .arith import parse_decimal
 from .classify import EligibilityStatus, classify
 from .factorize import TwoRepWitness, factor_with_witness
 from .represent import Representation, oracle_representations, representations
@@ -55,7 +55,6 @@ class Certificate:
 
 def decide(n: int) -> Certificate:
     """Certificate for any n >= 0 (ineligible n gets an Ineligible one)."""
-    check_magnitude(n)
     elig = classify(n)
     if not elig.is_eligible:
         return Certificate(
@@ -152,7 +151,6 @@ def verify(cert: Certificate) -> bool:
     witness identities, never the scan engine."""
     try:
         n = cert.n
-        check_magnitude(n)
         elig = classify(n)
         if cert.verdict is Verdict.INELIGIBLE:
             return not elig.is_eligible

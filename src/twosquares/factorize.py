@@ -174,9 +174,3 @@ def factor_with_witness(number: int, reps: list[Representation]) -> TwoRepWitnes
         )
     return witness
 
-
-def factor(number: int, reps: list[Representation]) -> tuple[int, int]:
-    """Nontrivial split (f1, f2) of number, f1 <= f2, from its
-    representation set (needs at least two)."""
-    witness = factor_with_witness(number, reps)
-    return witness.f1, witness.f2

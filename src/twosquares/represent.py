@@ -8,9 +8,9 @@ route is an independent oracle used for verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
-from .arith import check_magnitude, is_perfect_square, isqrt
+from .arith import check_magnitude, is_perfect_square
 from .classify import classify
 from .scan import ScanHit, expand_branches, initial_quadratic, recover_xy, scan_branch
 

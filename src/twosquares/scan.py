@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .arith import SQUARE_RESIDUES_MOD_8, check_magnitude, isqrt
+from .arith import SQUARE_RESIDUES_MOD_8, check_magnitude
 
 #: quadratic coefficient of refinable branches (the residual's 25)
 _REFINABLE_GAMMA = 25
@@ -71,29 +71,22 @@ class Quadratic:
 
 
 @dataclass(frozen=True)
-class AffineStep:
-    """One substitution t_outer = scale * t_inner + offset."""
+class SubstitutionChain:
+    """The affine map x = scale*t + offset from a branch variable back to
+    x, plus the square divisor taken out of the residual (25 times a
+    power of 4).
+
+    The root map is x = 25*t + r; each refinement t = S*s + O composes
+    into it, and a composition of affine maps is one affine map.
+    """
 
     scale: int
     offset: int
-
-
-@dataclass(frozen=True)
-class SubstitutionChain:
-    """Affine steps mapping a branch variable back to x, plus the square
-    divisor taken out of the residual (25 times a power of 4).
-
-    steps are ordered outermost first; the root step is x = 25*t + r.
-    """
-
-    steps: tuple[AffineStep, ...]
     divisor: int
 
     def apply(self, t: int) -> int:
         """Map an inner-variable value to the (signed) outer x."""
-        for step in reversed(self.steps):
-            t = step.scale * t + step.offset
-        return t
+        return self.scale * t + self.offset
 
 
 @dataclass(frozen=True)
@@ -158,9 +151,11 @@ def _substitute(branch: ScanBranch, scale: int, offset: int, tag: str) -> ScanBr
         beta=scale * (q.beta + 2 * q.gamma * offset),
         gamma=scale * scale * q.gamma,
     )
+    outer = branch.chain
     chain = SubstitutionChain(
-        steps=branch.chain.steps + (AffineStep(scale, offset),),
-        divisor=branch.chain.divisor,
+        scale=outer.scale * scale,
+        offset=outer.scale * offset + outer.offset,
+        divisor=outer.divisor,
     )
     return ScanBranch(
         name=_child_name(branch.name, tag),
@@ -199,7 +194,7 @@ def initial_quadratic(n: int, r: int) -> ScanBranch:
     if not 0 <= r < 25 or (n - r * r) % 25 != 0:
         raise ValueError(f"{r} is not a square root of {n} mod 25")
     q = Quadratic(m=(n - r * r) // 25, beta=2 * r, gamma=25)
-    chain = SubstitutionChain(steps=(AffineStep(25, r),), divisor=25)
+    chain = SubstitutionChain(scale=25, offset=r, divisor=25)
     return ScanBranch(
         name="Q", quadratic=q, chain=chain, prune_reason=_prune_reason(q), depth=0
     )
@@ -288,7 +283,7 @@ def recover_xy(hit: ScanHit, n: int) -> tuple[int, int]:
     (y the member divisible by 5)."""
     chain = hit.branch.chain
     x = abs(chain.apply(hit.t))
-    y = isqrt(chain.divisor) * hit.root
+    y = math.isqrt(chain.divisor) * hit.root
     if x * x + y * y != n:
         raise InternalConsistencyError(
             f"hit at t={hit.t} on branch {hit.branch.name} does not reconstruct {n}"

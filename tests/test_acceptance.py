@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import json
+import math
 import random
 import time
 
@@ -161,8 +162,7 @@ def test_criterion_7_factorization_identities():
     reps9 = oracle_representations(1000009)
     wm = klmn_factor_mixed(1000009, reps9[0], reps9[1])
     assert (wm.k, wm.l, wm.m, wm.n) == (51, 15, 19, 65)
-    from twosquares.arith import gcd
-    assert gcd(1000009, 19**2 + 15**2) == 293
+    assert math.gcd(1000009, 19**2 + 15**2) == 293
     print(f"\nACCEPTANCE 7 PASS: klmn and gcd-fraction identities on {count} "
           f"odd N with >= 2 representations; golden k,l,m,n = 51,15,19,65; "
           f"gcd(1000009, 586) = 293")

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from twosquares import cli
+from twosquares.classify import classify
 from twosquares.cli import main
 
 
@@ -123,6 +124,16 @@ def test_sweep_deterministic_across_jobs(capsys, tmp_path):
     assert main(["sweep", "1000000", "1000400", "--out", str(f2)]) == 0
     assert main(["sweep", "1000000", "1000400", "--jobs", "2", "--out", str(f3)]) == 0
     assert f1.read_bytes() == f2.read_bytes() == f3.read_bytes()
+
+
+def test_eligible_range_matches_classify():
+    for n in range(10**4):
+        assert classify(n).is_eligible == (n >= 9 and n % 20 in (1, 9)), n
+    eligible = {n for n in range(140) if classify(n).is_eligible}
+    for lo in range(140):
+        for hi in range(140):
+            expected = [n for n in range(lo, hi + 1) if n in eligible]
+            assert cli._eligible_range(lo, hi) == expected, (lo, hi)
 
 
 def test_numeric_arguments_validated(capsys):

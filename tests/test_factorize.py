@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twosquares.factorize import (
-    factor,
     factor_with_witness,
     gcd_fraction_factor,
     klmn_factor,
@@ -62,16 +61,18 @@ def test_gcd_fraction_other_cases():
 
 
 def test_factor_worked_example():
-    assert factor(1000009, list(R1000009)) == (293, 3413)
+    w = factor_with_witness(1000009, list(R1000009))
+    assert (w.f1, w.f2) == (293, 3413)
 
 
 def test_factor_square_number():
-    assert factor(169, oracle_representations(169)) == (13, 13)
+    w = factor_with_witness(169, oracle_representations(169))
+    assert (w.f1, w.f2) == (13, 13)
 
 
 def test_factor_many_representations():
-    f1, f2 = factor(1105, oracle_representations(1105))
-    assert f1 * f2 == 1105 and 1 < f1 <= f2 < 1105
+    w = factor_with_witness(1105, oracle_representations(1105))
+    assert w.f1 * w.f2 == 1105 and 1 < w.f1 <= w.f2 < 1105
 
 
 def test_routes_can_disagree_on_split_but_stay_consistent():
@@ -82,7 +83,8 @@ def test_routes_can_disagree_on_split_but_stay_consistent():
     g = gcd_fraction_factor(4329, r1, r2)
     assert w.f1 * w.f2 == 4329
     assert 4329 % g == 0 and 1 < g < 4329
-    assert factor(4329, reps)  # cross-check assertion holds
+    split = factor_with_witness(4329, reps)  # the cross-check holds
+    assert split.f1 * split.f2 == 4329
 
 
 def test_requires_two_distinct():
@@ -90,7 +92,7 @@ def test_requires_two_distinct():
     with pytest.raises(ValueError):
         klmn_factor(1000009, rep, rep)
     with pytest.raises(ValueError):
-        factor(1000081, [Representation.of(1000, 9)])
+        factor_with_witness(1000081, [Representation.of(1000, 9)])
 
 
 def test_requires_odd_number():

@@ -3,13 +3,11 @@ import math
 
 import pytest
 
-from twosquares.arith import isqrt
 from twosquares.certify import decide
 from twosquares.classify import classify
 from twosquares.report import render_difference_table, render_scan_table
 from twosquares.scan import (
     MAX_REFINE_DEPTH,
-    AffineStep,
     InternalConsistencyError,
     PruneReason,
     Quadratic,
@@ -95,17 +93,16 @@ def test_refine_second_level_prime():
 
 
 def test_domains_partition_parent():
-    # every integer t of the parent maps to exactly one child class
+    # every integer t of the parent maps, through x, to exactly one child class
     for n in (1000009, 1000081, 21, 29, 169):
         e = classify(n)
         root = initial_quadratic(n, e.roots_mod25[0])
         children = refine(root)
         for t in range(-20, 21):
-            owners = 0
-            for child in children:
-                step = child.chain.steps[-1]
-                if (t - step.offset) % step.scale == 0:
-                    owners += 1
+            x = root.chain.apply(t)
+            owners = sum(
+                (x - child.chain.offset) % child.chain.scale == 0 for child in children
+            )
             assert owners == 1, (n, t)
 
 
@@ -114,7 +111,7 @@ def test_divisor_always_square():
         root = initial_quadratic(n, classify(n).roots_mod25[0])
         for leaf in expand_branches(root):
             d = leaf.chain.divisor
-            assert isqrt(d) ** 2 == d
+            assert math.isqrt(d) ** 2 == d
             while d % 4 == 0:
                 d //= 4
             assert d == 25
@@ -125,7 +122,7 @@ def vertex_island_branch():
     return ScanBranch(
         name="synthetic",
         quadratic=Quadratic(-4, -100, 25),
-        chain=SubstitutionChain(steps=(AffineStep(25, 1),), divisor=25),
+        chain=SubstitutionChain(25, 1, 25),
         prune_reason=None,
         depth=0,
     )
@@ -337,7 +334,7 @@ def test_depth_cap():
     br = ScanBranch(
         name="Q",
         quadratic=q,
-        chain=SubstitutionChain(steps=(AffineStep(25, 1),), divisor=25),
+        chain=SubstitutionChain(25, 1, 25),
         prune_reason=None,
         depth=0,
     )

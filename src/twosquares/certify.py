@@ -1,9 +1,12 @@
 """Verdicts with self-contained evidence, and their independent check.
 
-decide() runs the scan pipeline and assembles a certificate; verify()
-re-derives everything WITHOUT the scan engine (brute-force oracle,
-trial division, witness identities), so a verifier needs none of the
-machinery that produced the certificate.
+certificate_for() is the table of verdicts: it turns N's complete
+representation list into the one certificate that list implies.
+decide() feeds it the scan engine's list; verify() feeds it the
+brute-force oracle's list and accepts only the same certificate, then
+re-checks primality, the factor product and the witness identities
+without the scan engine, so a verifier needs none of the machinery
+that produced the certificate.
 
 Certificates serialize to JSON with integers as decimal strings (no
 consumer precision loss) and a fixed key order, so a document
@@ -18,7 +21,7 @@ from enum import Enum
 from math import gcd, isqrt
 
 from .arith import parse_decimal
-from .classify import EligibilityStatus, classify
+from .classify import Eligibility, classify
 from .factorize import TwoRepWitness, factor_with_witness
 from .represent import Representation, oracle_representations, representations
 
@@ -53,63 +56,36 @@ class Certificate:
     method_version: str = METHOD_VERSION
 
 
+def certificate_for(elig: Eligibility, reps: list[Representation]) -> Certificate:
+    """The one certificate that N's eligibility and its complete
+    representation list (sorted by descending a; empty when N is
+    ineligible) imply: the table of verdicts."""
+    n = elig.n
+    reps = tuple(reps)
+    factors = witness = None
+    if not elig.is_eligible:
+        verdict, notes = Verdict.INELIGIBLE, f"not in scope: {elig.status.value}"
+    elif not reps:
+        verdict, notes = Verdict.COMPOSITE_NO_REPRESENTATION, NO_REPRESENTATION_NOTE
+    elif len(reps) > 1:
+        witness = factor_with_witness(n, list(reps))
+        verdict, factors = Verdict.COMPOSITE_WITH_FACTORS, (witness.f1, witness.f2)
+        notes = "factors recovered from two distinct representations"
+    elif reps[0].coprime and reps[0].b >= 1:
+        verdict, notes = Verdict.PRIME, "unique coprime two-square representation"
+    else:
+        # unique but non-coprime: the shared divisor's square splits n
+        g = gcd(reps[0].a, reps[0].b)
+        factors = (g, g) if g * g == n else tuple(sorted((g * g, n // (g * g))))
+        verdict = Verdict.COMPOSITE_WITH_FACTORS
+        notes = f"unique representation with common divisor {g}"
+    return Certificate(n, verdict, reps, factors, witness, notes)
+
+
 def decide(n: int) -> Certificate:
     """Certificate for any n >= 0 (ineligible n gets an Ineligible one)."""
     elig = classify(n)
-    if not elig.is_eligible:
-        return Certificate(
-            n=n,
-            verdict=Verdict.INELIGIBLE,
-            representations=(),
-            factors=None,
-            witness=None,
-            notes=f"not in scope: {elig.status.value}",
-        )
-    reps = tuple(representations(n))
-    if not reps:
-        return Certificate(
-            n=n,
-            verdict=Verdict.COMPOSITE_NO_REPRESENTATION,
-            representations=(),
-            factors=None,
-            witness=None,
-            notes=NO_REPRESENTATION_NOTE,
-        )
-    if len(reps) == 1:
-        (rep,) = reps
-        if rep.coprime and rep.b >= 1:
-            return Certificate(
-                n=n,
-                verdict=Verdict.PRIME,
-                representations=reps,
-                factors=None,
-                witness=None,
-                notes="unique coprime two-square representation",
-            )
-        # unique but non-coprime: the shared divisor's square splits n
-        g = gcd(rep.a, rep.b)
-        if g * g == n:
-            factors = (g, g)
-        else:
-            lo, hi = sorted((g * g, n // (g * g)))
-            factors = (lo, hi)
-        return Certificate(
-            n=n,
-            verdict=Verdict.COMPOSITE_WITH_FACTORS,
-            representations=reps,
-            factors=factors,
-            witness=None,
-            notes=f"unique representation with common divisor {g}",
-        )
-    witness = factor_with_witness(n, list(reps))
-    return Certificate(
-        n=n,
-        verdict=Verdict.COMPOSITE_WITH_FACTORS,
-        representations=reps,
-        factors=(witness.f1, witness.f2),
-        witness=witness,
-        notes="factors recovered from two distinct representations",
-    )
+    return certificate_for(elig, representations(n) if elig.is_eligible else [])
 
 
 # ---------------------------------------------------------------------------
@@ -146,48 +122,23 @@ def _witness_consistent(number: int, w: TwoRepWitness) -> bool:
 
 
 def verify(cert: Certificate) -> bool:
-    """Re-derive the certificate's claims from scratch; False on any
-    mismatch.  Uses only the brute-force oracle, trial division and the
-    witness identities, never the scan engine."""
+    """Rebuild the certificate from the brute-force oracle's
+    representations and accept only an exact match; then re-check the
+    primality by trial division, the factor product and the witness
+    identities.  Never runs the scan engine.  False on any mismatch."""
     try:
         n = cert.n
         elig = classify(n)
-        if cert.verdict is Verdict.INELIGIBLE:
-            return not elig.is_eligible
-        if not elig.is_eligible:
+        oracle = oracle_representations(n) if elig.is_eligible else []
+        if cert != certificate_for(elig, oracle):
             return False
-        oracle = oracle_representations(n)
-        if list(cert.representations) != oracle:
+        if cert.verdict is Verdict.PRIME and not _is_prime_trial(n):
             return False
-        for rep in cert.representations:
-            if rep.a < rep.b or rep.b < 0:
-                return False
-            if rep.a * rep.a + rep.b * rep.b != n:
-                return False
-            if rep.coprime != (gcd(rep.a, rep.b) == 1):
-                return False
-        if cert.verdict is Verdict.PRIME:
-            if len(oracle) != 1 or cert.factors is not None:
-                return False
-            (rep,) = oracle
-            if not rep.coprime or rep.b < 1:
-                return False
-            return _is_prime_trial(n)
-        if cert.verdict is Verdict.COMPOSITE_NO_REPRESENTATION:
-            return not oracle and cert.factors is None
-        if cert.verdict is Verdict.COMPOSITE_WITH_FACTORS:
-            if cert.factors is None:
-                return False
+        if cert.factors is not None:
             f1, f2 = cert.factors
             if not (1 < f1 <= f2 < n and f1 * f2 == n):
                 return False
-            if cert.witness is not None:
-                if not _witness_consistent(n, cert.witness):
-                    return False
-                if (cert.witness.f1, cert.witness.f2) != (f1, f2):
-                    return False
-            return True
-        return False
+        return cert.witness is None or _witness_consistent(n, cert.witness)
     except (ValueError, OverflowError, TypeError):
         return False
 
@@ -256,7 +207,7 @@ def certificate_from_json(text: str) -> Certificate:
     """Parse a certificate document; CertificateError on malformed input."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CertificateError(f"not valid JSON: {exc}") from exc
     expected = {"n", "verdict", "representations", "factors", "witness", "notes",
                 "method_version"}

@@ -2,7 +2,8 @@
 
 Exit codes: verdicts are data, never failures (prove exits 0 for any
 verdict); 1 means a certificate failed verification; 2 means bad input
-(unparseable number, out-of-range value, malformed document).
+(unparseable number, out-of-range value, malformed or undecodable
+document).
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             cert = certificate_from_json(fh.read())
-    except (OSError, CertificateError) as exc:
+    except (OSError, UnicodeDecodeError, CertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if verify(cert):

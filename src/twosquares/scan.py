@@ -26,7 +26,7 @@ tables in report.py are rendered from the visited range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .arith import SQUARE_RESIDUES_MOD_8, check_magnitude
@@ -143,44 +143,30 @@ def _child_name(parent: str, tag: str) -> str:
     return f"{parent}.{tag}"
 
 
-def _substitute(branch: ScanBranch, scale: int, offset: int, tag: str) -> ScanBranch:
-    """Substitute t = scale*s + offset into the branch quadratic."""
+def _child(branch: ScanBranch, scale: int, offset: int, tag: str) -> ScanBranch:
+    """Substitute t = scale*s + offset into the branch quadratic, then
+    divide it by 4 while all coefficients allow, folding each factor
+    into the chain's square divisor."""
     q = branch.quadratic
-    child = Quadratic(
-        m=q.m - q.beta * offset - q.gamma * offset * offset,
-        beta=scale * (q.beta + 2 * q.gamma * offset),
-        gamma=scale * scale * q.gamma,
-    )
+    m = q.m - q.beta * offset - q.gamma * offset * offset
+    beta = scale * (q.beta + 2 * q.gamma * offset)
+    gamma = scale * scale * q.gamma
     outer = branch.chain
-    chain = SubstitutionChain(
-        scale=outer.scale * scale,
-        offset=outer.scale * offset + outer.offset,
-        divisor=outer.divisor,
-    )
+    divisor = outer.divisor
+    while m % 4 == 0 and beta % 4 == 0 and gamma % 4 == 0:
+        m, beta, gamma = m // 4, beta // 4, gamma // 4
+        divisor *= 4
+    child = Quadratic(m, beta, gamma)
     return ScanBranch(
         name=_child_name(branch.name, tag),
         quadratic=child,
-        chain=chain,
+        chain=SubstitutionChain(
+            scale=outer.scale * scale,
+            offset=outer.scale * offset + outer.offset,
+            divisor=divisor,
+        ),
         prune_reason=_prune_reason(child),
         depth=branch.depth + 1,
-    )
-
-
-def _reduce4(branch: ScanBranch) -> ScanBranch:
-    """Divide the quadratic by 4 while all coefficients allow, folding
-    each factor into the chain's square divisor."""
-    q = branch.quadratic
-    divisor = branch.chain.divisor
-    while q.m % 4 == 0 and q.beta % 4 == 0 and q.gamma % 4 == 0:
-        q = Quadratic(q.m // 4, q.beta // 4, q.gamma // 4)
-        divisor *= 4
-    if divisor == branch.chain.divisor:
-        return branch
-    return replace(
-        branch,
-        quadratic=q,
-        chain=replace(branch.chain, divisor=divisor),
-        prune_reason=_prune_reason(q),
     )
 
 
@@ -208,16 +194,13 @@ def refine(branch: ScanBranch) -> list[ScanBranch]:
     classes t = 0 and t = 2 (mod 4).  The odd classes t = 1 and
     t = 3 (mod 4) are always emitted, each divided by 4 when possible.
     """
-    even = _reduce4(_substitute(branch, 2, 0, "e"))
+    even = _child(branch, 2, 0, "e")
     if even.chain.divisor > branch.chain.divisor:
         children = [even]
     else:
-        children = [
-            _reduce4(_substitute(branch, 4, 0, "e0")),
-            _reduce4(_substitute(branch, 4, 2, "e2")),
-        ]
-    children.append(_reduce4(_substitute(branch, 4, 1, "o1")))
-    children.append(_reduce4(_substitute(branch, 4, -1, "o3")))
+        children = [_child(branch, 4, 0, "e0"), _child(branch, 4, 2, "e2")]
+    children.append(_child(branch, 4, 1, "o1"))
+    children.append(_child(branch, 4, -1, "o3"))
     return children
 
 

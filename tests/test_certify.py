@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from twosquares import certify, represent
 from twosquares.certify import (
     Certificate,
     CertificateError,
@@ -104,6 +105,60 @@ def test_verify_rejects_coprime_flag_tamper():
         notes=cert.notes,
     )
     assert not verify(tampered)
+
+
+def document(n: int, **fields) -> str:
+    """decide(n) as a JSON document, with the given fields replaced."""
+    doc = json.loads(certificate_to_json(decide(n)))
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+def foreign_witness() -> dict:
+    return json.loads(certificate_to_json(decide(1000009)))["witness"]
+
+
+# True claims in documents decide never emits: each parses, and only an
+# exact match with the certificate the oracle's list implies verifies.
+NON_CANONICAL = {
+    "prime_with_foreign_witness": lambda: document(1000081, witness=foreign_witness()),
+    "no_rep_with_foreign_witness": lambda: document(21, witness=foreign_witness()),
+    "ineligible_with_foreign_witness": lambda: document(10, witness=foreign_witness()),
+    "prime_other_method_version": lambda: document(1000081, method_version="9.9"),
+    "composite_other_method_version": lambda: document(1000009, method_version="9.9"),
+    "ineligible_with_rep_and_factors": lambda: document(
+        10, representations=[{"a": "3", "b": "1", "coprime": True}], factors=["2", "5"]
+    ),
+    "witness_stripped": lambda: document(1000009, witness=None),
+    "no_rep_marked_with_factors": lambda: document(
+        21, verdict="composite_with_factors", factors=["3", "7"]
+    ),
+    "other_split_of_unique_rep": lambda: document(261, factors=["3", "87"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CANONICAL))
+def test_verify_accepts_only_the_oracle_certificate(name):
+    assert not verify(certificate_from_json(NON_CANONICAL[name]()))
+
+
+def test_verify_never_runs_the_scan_engine(monkeypatch):
+    certs = [decide(n) for n in range(2001)]
+
+    def scan_engine_called(*args, **kwargs):
+        raise AssertionError("verify ran the scan engine")
+
+    for module, name in [
+        (certify, "representations"),
+        (represent, "scan_branch"),
+        (represent, "expand_branches"),
+        (represent, "initial_quadratic"),
+    ]:
+        monkeypatch.setattr(module, name, scan_engine_called)
+    with pytest.raises(AssertionError):
+        decide(1000009)
+    for cert in certs:
+        assert verify(cert), cert.n
 
 
 def test_serialization_roundtrip_byte_identical():

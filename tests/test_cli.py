@@ -83,10 +83,13 @@ def test_verify_rejects_tampered(capsys, tmp_path):
 
 def test_verify_malformed_exits_two(capsys, tmp_path):
     path = tmp_path / "junk.json"
-    path.write_text("{ nope")
-    code, _, err = run(capsys, "verify", str(path))
-    assert code == 2
-    assert "error" in err
+    # bad JSON, bytes that are not UTF-8, nesting deeper than the decoder's
+    # recursion limit
+    for content in (b"{ nope", b"\xff\xfe not utf-8", b"[" * 200000):
+        path.write_bytes(content)
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2, content[:10]
+        assert "error" in err
     code, _, _ = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 2
 

@@ -3,7 +3,8 @@
 Exit codes: verdicts are data, never failures (prove exits 0 for any
 verdict); 1 means a certificate failed verification; 2 means bad input
 (unparseable number, out-of-range value, malformed or undecodable
-document).
+document) or an --out file that cannot be written.  prove --emit-tables
+takes its certificate and its tables from one walk of the scan tree.
 """
 
 from __future__ import annotations
@@ -18,15 +19,15 @@ from .arith import MAX_MAGNITUDE, parse_decimal
 from .certify import (
     Certificate,
     CertificateError,
+    certificate_for,
     certificate_from_json,
     certificate_to_json,
     decide,
     verify,
 )
-from .classify import MIN_ELIGIBLE, classify
+from .classify import MIN_ELIGIBLE, Eligibility, classify
 from .report import render_difference_table, render_scan_table, sweep_csv
-from .represent import representations_from_hits
-from .scan import expand_branches, initial_quadratic, scan_branch
+from .represent import Representation, scan_tree
 
 
 def _natural(text: str) -> int:
@@ -45,12 +46,17 @@ def _jobs(text: str) -> int:
     return value
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(text: str, out: str | None) -> int:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _eligibility_text(n: int) -> str:
@@ -79,38 +85,26 @@ def _eligibility_json(n: int) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _branch_reports(n: int) -> str:
-    elig = classify(n)
-    if not elig.is_eligible:
-        return f"n = {n} is not eligible ({elig.status.value}); nothing to scan\n"
-    if not elig.roots_mod25:
-        return (
-            f"n = {n} is a non-residue mod 25: no representation exists, "
-            "nothing to scan\n"
-        )
-    root = initial_quadratic(n, elig.roots_mod25[0])
+def _branch_reports(elig: Eligibility) -> tuple[str, list[Representation]]:
+    """N's scan tables, drawn from one walk, and the representations found."""
+    n = elig.n
+    root, leaves, reps = scan_tree(elig)
+    if root is None:  # ineligible: every eligible n is a square mod 25
+        return f"n = {n} is not eligible ({elig.status.value}); nothing to scan\n", reps
     blocks = [f"n = {n}, substitution x = 25 t + {elig.roots_mod25[0]}", root.describe(), ""]
-    all_hits = []
-    for leaf in expand_branches(root):
-        if not leaf.scannable:
+    for leaf, scanned in leaves:
+        if scanned is None:
             blocks.append(leaf.describe())
+        else:
+            hits, ts = scanned
+            blocks.append(render_difference_table(leaf, ts).rstrip("\n"))
             blocks.append("")
-            continue
-        hits, ts = scan_branch(leaf)
-        all_hits.extend(hits)
-        blocks.append(render_difference_table(leaf, ts).rstrip("\n"))
+            blocks.append(render_scan_table(leaf, ts, hits).rstrip("\n"))
+            blocks.extend(f"hit: t = {h.t}, value = {h.value} = {h.root}^2" for h in hits)
         blocks.append("")
-        blocks.append(render_scan_table(leaf, ts, hits).rstrip("\n"))
-        for hit in hits:
-            blocks.append(f"hit: t = {hit.t}, value = {hit.value} = {hit.root}^2")
-        blocks.append("")
-    reps = representations_from_hits(n, all_hits)
-    if reps:
-        listed = ", ".join(f"({r.a}, {r.b})" for r in reps)
-        blocks.append(f"representations: {listed}")
-    else:
-        blocks.append("representations: none")
-    return "\n".join(blocks) + "\n"
+    listed = ", ".join(f"({r.a}, {r.b})" for r in reps) or "none"
+    blocks.append(f"representations: {listed}")
+    return "\n".join(blocks) + "\n", reps
 
 
 def _certificate_text(cert: Certificate) -> str:
@@ -138,23 +132,27 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
-    cert = decide(args.n)
+    if args.emit_tables:
+        elig = classify(args.n)
+        tables, reps = _branch_reports(elig)
+        cert = certificate_for(elig, reps)
+    else:
+        cert = decide(args.n)
     if args.format == "text":
         text = _certificate_text(cert)
         if args.emit_tables:
-            text += "\n" + _branch_reports(args.n)
+            text += "\n" + tables
     else:
         text = certificate_to_json(cert)
         if args.emit_tables:
             doc = json.loads(text)
-            doc["tables"] = _branch_reports(args.n)
+            doc["tables"] = tables
             text = json.dumps(doc, indent=2) + "\n"
-    _write_out(text, args.out)
-    return 0
+    return _write_out(text, args.out)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    sys.stdout.write(_branch_reports(args.n))
+    sys.stdout.write(_branch_reports(classify(args.n))[0])
     return 0
 
 
@@ -171,8 +169,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             certs = list(pool.map(decide, ns, chunksize=64))
     else:
         certs = [decide(n) for n in ns]
-    _write_out(sweep_csv(certs), args.out)
-    return 0
+    return _write_out(sweep_csv(certs), args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

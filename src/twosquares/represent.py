@@ -1,8 +1,9 @@
 """Complete two-square representation sets, by scan and by brute force.
 
-The scan route drives the branch machinery over the smaller mod-25
-root (signed t reaches the conjugate root class); the brute-force
-route is an independent oracle used for verification.
+The scan route is one walk of the branch tree, scan_tree(), seeded
+with the smaller mod-25 root (signed t reaches the conjugate root
+class); representations() and the CLI's tables both read from it.  The
+brute-force route is an independent oracle used for verification.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import check_magnitude, is_perfect_square
-from .classify import classify
-from .scan import ScanHit, expand_branches, initial_quadratic, recover_xy, scan_branch
+from .classify import Eligibility, classify
+from .scan import ScanBranch, expand_branches, initial_quadratic, recover_xy, scan_branch
 
 
 @dataclass(frozen=True, order=True)
@@ -36,41 +37,39 @@ def _canonical(reps: set[Representation]) -> list[Representation]:
     return sorted(reps, key=lambda r: -r.a)
 
 
-def scan_hits(n: int, *, respect_pruning: bool = True) -> list[ScanHit]:
-    """All perfect-square hits over every branch of n's scan tree.
+def scan_tree(
+    elig: Eligibility, *, respect_pruning: bool = True
+) -> tuple[ScanBranch | None, list, list[Representation]]:
+    """Walk N's scan tree once; returns (root, leaves, reps).
 
-    With respect_pruning=False, pruned branches are scanned too (they
-    must contribute nothing; the equivalence tests rely on this).
+    root is the branch seeded with the smaller mod-25 root, or None when
+    N has none (N is ineligible).  leaves lists every leaf depth-first,
+    paired with scan_branch's (hits, ts), or with None when the leaf is
+    pruned.  reps is the canonical representation list.  With
+    respect_pruning=False, pruned leaves are scanned too (they must
+    contribute nothing; the equivalence tests rely on this).
     """
-    elig = classify(n)
-    if not elig.is_eligible:
-        raise ValueError(
-            f"{n} is not eligible ({elig.status.value}); see classify()"
-        )
     if not elig.roots_mod25:
-        return []
-    root = initial_quadratic(n, elig.roots_mod25[0])
-    hits: list[ScanHit] = []
-    for leaf in expand_branches(root, respect_pruning=respect_pruning):
-        if respect_pruning and not leaf.scannable:
-            continue
-        hits.extend(scan_branch(leaf)[0])
-    return hits
+        return None, [], []
+    root = initial_quadratic(elig.n, elig.roots_mod25[0])
+    leaves = [
+        (leaf, scan_branch(leaf) if leaf.scannable or not respect_pruning else None)
+        for leaf in expand_branches(root, respect_pruning=respect_pruning)
+    ]
+    hits = [hit for _, scanned in leaves if scanned for hit in scanned[0]]
+    return root, leaves, _canonical({Representation.of(*recover_xy(h, elig.n)) for h in hits})
 
 
 def representations(n: int, *, respect_pruning: bool = True) -> list[Representation]:
     """All representations n = a^2 + b^2, found by the branch scan.
 
-    Sorted by descending a.  Empty when n is a non-residue mod 25.
+    Sorted by descending a; empty when n has none.
     Raises ValueError for ineligible n.
     """
-    return representations_from_hits(n, scan_hits(n, respect_pruning=respect_pruning))
-
-
-def representations_from_hits(n: int, hits: list[ScanHit]) -> list[Representation]:
-    """The distinct representations of n that scan hits map back to,
-    sorted by descending a."""
-    return _canonical({Representation.of(*recover_xy(h, n)) for h in hits})
+    elig = classify(n)
+    if not elig.is_eligible:
+        raise ValueError(f"{n} is not eligible ({elig.status.value}); see classify()")
+    return scan_tree(elig, respect_pruning=respect_pruning)[2]
 
 
 def oracle_representations(n: int) -> list[Representation]:

@@ -150,6 +150,7 @@ def test_verify_never_runs_the_scan_engine(monkeypatch):
 
     for module, name in [
         (certify, "representations"),
+        (represent, "scan_tree"),
         (represent, "scan_branch"),
         (represent, "expand_branches"),
         (represent, "initial_quadratic"),

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from twosquares import cli
+from twosquares import certify, cli, represent
 from twosquares.classify import classify
 from twosquares.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -189,3 +192,64 @@ def test_cli_output_byte_identical(capsys):
     _, out1, _ = run(capsys, "prove", "1000009")
     _, out2, _ = run(capsys, "prove", "1000009")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("cli_scan_1000009.txt", ["scan", "1000009"]),
+        ("cli_prove_1000009_tables.txt", ["prove", "1000009", "--format", "text", "--emit-tables"]),
+        ("cli_prove_1000081_tables.json", ["prove", "1000081", "--emit-tables"]),
+    ],
+)
+def test_cli_output_matches_golden(capsys, name, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_emit_tables_adds_tables_and_nothing_else(capsys):
+    # every verdict: ineligible (10), non-residue (21), prime, composite
+    for n in [*range(500), 1000009, 1000081, 4329]:
+        _, plain, _ = run(capsys, "prove", str(n))
+        _, augmented, _ = run(capsys, "prove", str(n), "--emit-tables")
+        doc = json.loads(augmented)
+        tables = doc.pop("tables")
+        assert json.dumps(doc, indent=2) + "\n" == plain, n
+        _, text, _ = run(capsys, "prove", str(n), "--format", "text")
+        _, text_tables, _ = run(capsys, "prove", str(n), "--format", "text", "--emit-tables")
+        assert text_tables == text + "\n" + tables, n
+
+
+def test_emit_tables_walks_the_scan_tree_once(capsys, monkeypatch):
+    counts = {"scan_branch": 0, "classify": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    # wrap the names wherever the engine looks them up
+    for module in (cli, certify, represent):
+        for name in counts:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    code, _, _ = run(capsys, "prove", "1000009", "--emit-tables")
+    assert code == 0
+    # three scannable leaves (A.e0, B, C); one classify for the one walk
+    assert counts == {"scan_branch": 3, "classify": 1}
+
+
+def test_unwritable_out_exits_two(capsys, tmp_path):
+    missing = tmp_path / "missing"
+    for argv in (
+        ["prove", "1000009", "--out", str(missing / "x.json")],
+        ["sweep", "100", "200", "--out", str(missing / "x.csv")],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ")
+    assert not missing.exists()

@@ -5,6 +5,7 @@ from twosquares.represent import (
     Representation,
     oracle_representations,
     representations,
+    scan_tree,
 )
 
 
@@ -22,6 +23,29 @@ def test_worked_prime():
 
 def test_no_representation():
     assert representations(21) == []
+
+
+def test_scan_tree_shape():
+    root, leaves, reps = scan_tree(classify(1000009))
+    assert root.name == "Q"
+    # pruned leaves are listed but not scanned; the rest carry (hits, ts)
+    assert [(leaf.name, scanned is None) for leaf, scanned in leaves] == [
+        (leaf.name, not leaf.scannable) for leaf, _ in leaves
+    ]
+    assert sum(scanned is not None for _, scanned in leaves) == 3
+    assert reps == representations(1000009)
+    _, unpruned, reps_unpruned = scan_tree(classify(1000009), respect_pruning=False)
+    assert all(scanned is not None for _, scanned in unpruned)
+    assert reps_unpruned == reps
+    # 21 is scanned and has no representation; ineligible 10 is not scanned
+    _, leaves_21, reps_21 = scan_tree(classify(21))
+    assert leaves_21 and reps_21 == []
+    assert scan_tree(classify(10)) == (None, [], [])
+
+
+def test_every_eligible_n_has_a_mod25_root():
+    # eligible n = +-1 (mod 5) is a square mod 5, so mod 25 by Hensel
+    assert all(classify(n).roots_mod25 for n in range(10**4) if classify(n).is_eligible)
 
 
 def test_oracle_examples():

@@ -61,10 +61,9 @@ def classify(n: int) -> Eligibility:
     """Decide whether the scan applies to n and compute its mod-25 roots.
 
     Check order: too small (< 9), then n != 1 (mod 4), then last digit
-    not in {1, 9}.  For eligible n the roots are empty exactly when n is
-    a non-residue mod 25, in which case n has no two-square
-    representation at all (a conclusive composite verdict, not an
-    inapplicability).
+    not in {1, 9}.  Every eligible n is +-1 mod 5, a square mod 5 and so
+    (by Hensel) mod 25: its roots are always a pair {r, 25 - r}.
+    Ineligible n get no roots.
     """
     check_magnitude(n)
     n_mod4 = n % 4

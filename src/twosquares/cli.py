@@ -1,10 +1,11 @@
 """Command-line front end: classify, prove, scan, sweep, verify.
 
 Exit codes: verdicts are data, never failures (prove exits 0 for any
-verdict); 1 means a certificate failed verification; 2 means bad input
-(unparseable number, out-of-range value, malformed or undecodable
-document) or an --out file that cannot be written.  prove --emit-tables
-takes its certificate and its tables from one walk of the scan tree.
+verdict); 1 means a certificate failed verification or is not spelled
+byte for byte as prove writes it; 2 means bad input (unparseable
+number, out-of-range value, malformed or undecodable document) or an
+--out file that cannot be written.  prove takes its certificate, and
+with --emit-tables its tables, from one walk of the scan tree.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .certify import (
 )
 from .classify import MIN_ELIGIBLE, Eligibility, classify
 from .report import render_difference_table, render_scan_table, sweep_csv
-from .represent import Representation, scan_tree
+from .represent import scan_tree
 
 
 def _natural(text: str) -> int:
@@ -67,7 +68,7 @@ def _eligibility_text(n: int) -> str:
         f"n mod 4 = {elig.n_mod4}, last digit = {elig.last_digit}, n mod 25 = {elig.n_mod25}",
     ]
     if elig.is_eligible:
-        roots = "/".join(str(r) for r in elig.roots_mod25) or "none (non-residue mod 25)"
+        roots = "/".join(str(r) for r in elig.roots_mod25)
         lines.append(f"square roots of n mod 25: {roots}")
     return "\n".join(lines) + "\n"
 
@@ -85,12 +86,12 @@ def _eligibility_json(n: int) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _branch_reports(elig: Eligibility) -> tuple[str, list[Representation]]:
-    """N's scan tables, drawn from one walk, and the representations found."""
+def _render_tree(elig: Eligibility, walk: tuple) -> str:
+    """N's scan tables, drawn from its scan_tree walk (root, leaves, reps)."""
     n = elig.n
-    root, leaves, reps = scan_tree(elig)
-    if root is None:  # ineligible: every eligible n is a square mod 25
-        return f"n = {n} is not eligible ({elig.status.value}); nothing to scan\n", reps
+    root, leaves, reps = walk
+    if root is None:
+        return f"n = {n} is not eligible ({elig.status.value}); nothing to scan\n"
     blocks = [f"n = {n}, substitution x = 25 t + {elig.roots_mod25[0]}", root.describe(), ""]
     for leaf, scanned in leaves:
         if scanned is None:
@@ -104,7 +105,7 @@ def _branch_reports(elig: Eligibility) -> tuple[str, list[Representation]]:
         blocks.append("")
     listed = ", ".join(f"({r.a}, {r.b})" for r in reps) or "none"
     blocks.append(f"representations: {listed}")
-    return "\n".join(blocks) + "\n", reps
+    return "\n".join(blocks) + "\n"
 
 
 def _certificate_text(cert: Certificate) -> str:
@@ -132,27 +133,25 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
-    if args.emit_tables:
-        elig = classify(args.n)
-        tables, reps = _branch_reports(elig)
-        cert = certificate_for(elig, reps)
-    else:
-        cert = decide(args.n)
+    elig = classify(args.n)
+    walk = scan_tree(elig)
+    cert = certificate_for(elig, walk[2])
     if args.format == "text":
         text = _certificate_text(cert)
         if args.emit_tables:
-            text += "\n" + tables
+            text += "\n" + _render_tree(elig, walk)
     else:
         text = certificate_to_json(cert)
         if args.emit_tables:
             doc = json.loads(text)
-            doc["tables"] = tables
+            doc["tables"] = _render_tree(elig, walk)
             text = json.dumps(doc, indent=2) + "\n"
     return _write_out(text, args.out)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    sys.stdout.write(_branch_reports(classify(args.n))[0])
+    elig = classify(args.n)
+    sys.stdout.write(_render_tree(elig, scan_tree(elig)))
     return 0
 
 
@@ -174,11 +173,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            cert = certificate_from_json(fh.read())
+        # newline="" keeps CRLF line ends, so they fail the byte check below
+        with open(args.file, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        cert = certificate_from_json(text)
     except (OSError, UnicodeDecodeError, CertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if text != certificate_to_json(cert):
+        print(f"certificate for {cert.n} REJECTED: not the canonical encoding", file=sys.stderr)
+        return 1
     if verify(cert):
         print(f"certificate for {cert.n} is valid ({cert.verdict.value})")
         return 0

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import reduce_fraction
 from .represent import Representation
 from .scan import InternalConsistencyError
 
@@ -134,7 +133,9 @@ def klmn_factor_mixed(number: int, rep1: Representation, rep2: Representation) -
 def transposed_fraction(rep1: Representation, rep2: Representation) -> tuple[int, int]:
     """Reduce (a + d)/(c + b) to lowest terms, where rep1 = (a, b) and
     rep2 = (c, d); valid because a^2 - d^2 = c^2 - b^2."""
-    return reduce_fraction(rep1.a + rep2.b, rep2.a + rep1.b)
+    p, q = rep1.a + rep2.b, rep2.a + rep1.b
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def gcd_fraction_factor(number: int, rep1: Representation, rep2: Representation) -> int:

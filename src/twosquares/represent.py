@@ -2,8 +2,8 @@
 
 The scan route is one walk of the branch tree, scan_tree(), seeded
 with the smaller mod-25 root (signed t reaches the conjugate root
-class); representations() and the CLI's tables both read from it.  The
-brute-force route is an independent oracle used for verification.
+class); representations() and the CLI's prove and scan read from it.
+The brute-force route is an independent oracle used for verification.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import check_magnitude, is_perfect_square
+from .arith import check_magnitude
 from .classify import Eligibility, classify
 from .scan import ScanBranch, expand_branches, initial_quadratic, recover_xy, scan_branch
 
@@ -33,23 +33,19 @@ class Representation:
         return (self.a, self.b)
 
 
-def _canonical(reps: set[Representation]) -> list[Representation]:
-    return sorted(reps, key=lambda r: -r.a)
-
-
 def scan_tree(
     elig: Eligibility, *, respect_pruning: bool = True
 ) -> tuple[ScanBranch | None, list, list[Representation]]:
     """Walk N's scan tree once; returns (root, leaves, reps).
 
-    root is the branch seeded with the smaller mod-25 root, or None when
-    N has none (N is ineligible).  leaves lists every leaf depth-first,
+    root is the branch seeded with the smaller of N's two mod-25 roots,
+    or None when N is ineligible.  leaves lists every leaf depth-first,
     paired with scan_branch's (hits, ts), or with None when the leaf is
     pruned.  reps is the canonical representation list.  With
     respect_pruning=False, pruned leaves are scanned too (they must
     contribute nothing; the equivalence tests rely on this).
     """
-    if not elig.roots_mod25:
+    if not elig.is_eligible:
         return None, [], []
     root = initial_quadratic(elig.n, elig.roots_mod25[0])
     leaves = [
@@ -57,10 +53,11 @@ def scan_tree(
         for leaf in expand_branches(root, respect_pruning=respect_pruning)
     ]
     hits = [hit for _, scanned in leaves if scanned for hit in scanned[0]]
-    return root, leaves, _canonical({Representation.of(*recover_xy(h, elig.n)) for h in hits})
+    reps = {Representation.of(*recover_xy(h, elig.n)) for h in hits}
+    return root, leaves, sorted(reps, key=lambda r: -r.a)
 
 
-def representations(n: int, *, respect_pruning: bool = True) -> list[Representation]:
+def representations(n: int) -> list[Representation]:
     """All representations n = a^2 + b^2, found by the branch scan.
 
     Sorted by descending a; empty when n has none.
@@ -69,16 +66,18 @@ def representations(n: int, *, respect_pruning: bool = True) -> list[Representat
     elig = classify(n)
     if not elig.is_eligible:
         raise ValueError(f"{n} is not eligible ({elig.status.value}); see classify()")
-    return scan_tree(elig, respect_pruning=respect_pruning)[2]
+    return scan_tree(elig)[2]
 
 
 def oracle_representations(n: int) -> list[Representation]:
-    """Brute-force representation set: test n - b^2 for every b up to
-    sqrt(n/2).  Works for any n >= 0, eligible or not."""
+    """Brute-force representation list: keep every b up to sqrt(n/2)
+    for which n - b^2 is a square a^2.  Works for any n >= 0, eligible
+    or not.  b^2 <= n/2 makes a >= b, and a falls as b rises, so the
+    list comes out sorted by descending a."""
     check_magnitude(n)
-    found: set[Representation] = set()
+    reps = []
     for b in range(isqrt(n // 2) + 1):
-        a = is_perfect_square(n - b * b)
-        if a is not None:
-            found.add(Representation.of(a, b))
-    return _canonical(found)
+        a = isqrt(n - b * b)
+        if a * a + b * b == n:
+            reps.append(Representation.of(a, b))
+    return reps

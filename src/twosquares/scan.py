@@ -29,13 +29,16 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .arith import SQUARE_RESIDUES_MOD_8, check_magnitude
+from .arith import check_magnitude
 
 #: quadratic coefficient of refinable branches (the residual's 25)
 _REFINABLE_GAMMA = 25
 
 #: refinement recursion depth cap beyond the initial split
 MAX_REFINE_DEPTH = 4
+
+#: the only squares mod 8; a value outside them is never a perfect square
+SQUARE_RESIDUES_MOD_8 = frozenset({0, 1, 4})
 
 
 class InternalConsistencyError(RuntimeError):
@@ -125,7 +128,7 @@ def _prune_reason(q: Quadratic) -> PruneReason | None:
     always oddly even (2 mod 4), or some other non-residue pattern.
     """
     values = {q.value_at(t) % 8 for t in range(8)}
-    if values & {0, 1, 4}:
+    if values & SQUARE_RESIDUES_MOD_8:
         return None
     if values == {5}:
         return PruneReason.ALWAYS_FIVE_MOD_8

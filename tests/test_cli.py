@@ -84,6 +84,29 @@ def test_verify_rejects_tampered(capsys, tmp_path):
     assert "REJECTED" in err
 
 
+def test_verify_rejects_non_canonical_bytes(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    run(capsys, "prove", "1000009", "--out", str(path))
+    canonical = path.read_text(encoding="utf-8")
+    doc = json.loads(canonical)
+    # the same certificate, spelled otherwise
+    variants = {
+        "compact": json.dumps(doc),
+        "reordered": json.dumps(dict(reversed(list(doc.items()))), indent=2) + "\n",
+        "duplicate n": canonical.replace('{\n  "n"', '{\n  "n": "1000081",\n  "n"', 1),
+        "trailing whitespace": canonical + " \n",
+        "crlf": canonical.replace("\n", "\r\n"),
+    }
+    for name, text in variants.items():
+        assert text != canonical, name
+        path.write_bytes(text.encode("utf-8"))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 1, name
+        assert "not the canonical encoding" in err, name
+    path.write_bytes(canonical.encode("utf-8"))
+    assert run(capsys, "verify", str(path))[0] == 0
+
+
 def test_verify_malformed_exits_two(capsys, tmp_path):
     path = tmp_path / "junk.json"
     # bad JSON, bytes that are not UTF-8, nesting deeper than the decoder's
@@ -236,10 +259,13 @@ def test_emit_tables_walks_the_scan_tree_once(capsys, monkeypatch):
         for name in counts:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    code, _, _ = run(capsys, "prove", "1000009", "--emit-tables")
-    assert code == 0
-    # three scannable leaves (A.e0, B, C); one classify for the one walk
-    assert counts == {"scan_branch": 3, "classify": 1}
+    # with or without tables, prove takes one walk
+    for argv in (["prove", "1000009", "--emit-tables"], ["prove", "1000009"]):
+        counts.update(scan_branch=0, classify=0)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        # three scannable leaves (A.e0, B, C); one classify for the one walk
+        assert counts == {"scan_branch": 3, "classify": 1}, argv
 
 
 def test_unwritable_out_exits_two(capsys, tmp_path):

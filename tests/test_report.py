@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 from twosquares.certify import decide
@@ -73,8 +74,6 @@ def test_tables_odd_branch_prime_case():
 
 
 def test_every_hit_marked_and_every_mark_square():
-    from twosquares.arith import is_perfect_square
-
     for n in (1000009, 1000081, 481, 81):
         root = initial_quadratic(n, classify(n).roots_mod25[0])
         for br in expand_branches(root):
@@ -88,7 +87,7 @@ def test_every_hit_marked_and_every_mark_square():
                 if line.startswith("*")
             ]
             for v in starred:
-                assert is_perfect_square(v) is not None
+                assert math.isqrt(v) ** 2 == v
             for h in hits:
                 assert h.value in starred
 

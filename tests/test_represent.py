@@ -1,3 +1,5 @@
+from math import gcd, isqrt
+
 import pytest
 
 from twosquares.classify import classify
@@ -48,6 +50,22 @@ def test_every_eligible_n_has_a_mod25_root():
     assert all(classify(n).roots_mod25 for n in range(10**4) if classify(n).is_eligible)
 
 
+def test_oracle_matches_naive_double_loop():
+    # the oracle's contract for any n >= 0, eligible or not: every pair
+    # a >= b >= 0 with a^2 + b^2 = n, by descending a
+    limit = 3000
+    naive = {n: [] for n in range(limit)}
+    for a in range(isqrt(limit) + 1):
+        for b in range(a + 1):
+            if a * a + b * b < limit:
+                naive[a * a + b * b].append((a, b))
+    for n in range(limit):
+        expected = sorted(naive[n], reverse=True)
+        reps = oracle_representations(n)
+        assert pairs(reps) == expected, n
+        assert [r.coprime for r in reps] == [gcd(a, b) == 1 for a, b in expected], n
+
+
 def test_oracle_examples():
     assert pairs(oracle_representations(1000009)) == [(1000, 3), (972, 235)]
     assert pairs(oracle_representations(25)) == [(5, 0), (4, 3)]
@@ -87,7 +105,7 @@ def test_oracle_equivalence_small():
             continue
         oracle = oracle_representations(n)
         assert representations(n) == oracle, n
-        assert representations(n, respect_pruning=False) == oracle, n
+        assert scan_tree(classify(n), respect_pruning=False)[2] == oracle, n
 
 
 def test_five_divisibility():

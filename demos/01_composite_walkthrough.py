@@ -4,7 +4,8 @@
 # at all, one of the squares is divisible by 25.  Writing the other side
 # as x = 25 t + r with r a square root of N mod 25 turns the question
 # into "when is a certain downward parabola a perfect square?", which a
-# difference table answers with one subtraction per candidate.
+# difference table answers with one subtraction per candidate (the
+# engine sieves the candidates by their residues first).
 
 from twosquares import (
     classify,

@@ -4,7 +4,7 @@ Two table styles: the subtrahend/difference table (what gets
 subtracted for each step away from the start, with first differences
 growing by 2*gamma), and the running-subtraction table (the successive
 branch values themselves, squares marked with '*').  Both are a view
-over a scan: they take the range of t that scan_branch visited and
+over a scan: they take the range of t that scan_branch covered and
 evaluate the branch quadratic there.
 
 The side whose subtrahends grow more slowly (linear term working
@@ -68,7 +68,7 @@ def render_difference_table(branch: ScanBranch, ts: range) -> str:
     """Fixed-width table of per-step subtrahends and their differences,
     near side then far side, one row per distance c from the start.
 
-    ts is the range of t that scan_branch visited."""
+    ts is the range of t that scan_branch covered."""
     title = branch.describe()
     if not ts:
         return title + "\n  (no rows)\n"

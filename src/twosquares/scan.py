@@ -14,13 +14,17 @@ the square residues {0, 1, 4} the branch is pruned (values always
 5 mod 8, values always oddly even, or some other non-residue pattern)
 and never scanned.
 
-Surviving branches are scanned incrementally over the exact range of t
-where the branch is nonnegative: successive values of a downward
-parabola differ by first differences that grow by exactly 2*gamma per
-step, so each row costs one subtraction.  Every value is square-tested
-(mod-8 prefilter, then isqrt); hits map back through the substitution
-chain to a representation N = x^2 + y^2.  The scan keeps no rows: the
-tables in report.py are rendered from the visited range.
+Surviving branches are scanned over the exact range of t where the
+branch is nonnegative, by an exclusion sieve that carries the mod-8
+test on (Gauss's method of exclusion, Disquisitiones sec. VI): for each
+modulus p of SIEVE_MODULI, Q(t) mod p depends only on t mod p, so one
+p-byte pattern per leaf marks the t whose value can be a square mod p.
+Where a pattern marks no t the leaf holds no square at all; otherwise
+the patterns are ANDed over windows of t, and only the t that survive
+every modulus are evaluated and square-tested exactly with isqrt.  Hits
+map back through the substitution chain to a representation
+N = x^2 + y^2.  The scan keeps no rows: the difference tables in
+report.py are rendered from the covered range.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .arith import check_magnitude
 
@@ -39,6 +44,18 @@ MAX_REFINE_DEPTH = 4
 
 #: the only squares mod 8; a value outside them is never a perfect square
 SQUARE_RESIDUES_MOD_8 = frozenset({0, 1, 4})
+
+#: moduli of the leaf sieve: 16 sharpens the branch pruning's mod 8,
+#: then 9 and the primes up to 29
+SIEVE_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29)
+
+#: a modulus sieves a leaf once the leaf has this many rows per class
+#: (mod 16 always does): on shorter leaves its pattern costs more to
+#: build and apply than the square tests it saves
+_ROWS_PER_CLASS = 4
+
+#: t per sieve window; the window's masks stay a few KB
+SIEVE_WINDOW = 2048
 
 
 class InternalConsistencyError(RuntimeError):
@@ -121,13 +138,15 @@ class ScanHit:
     root: int
 
 
-def _prune_reason(q: Quadratic) -> PruneReason | None:
-    """Check q over one full period mod 8.
+@cache
+def _prune_reason(m: int, beta: int, gamma: int) -> PruneReason | None:
+    """Check m - beta*t - gamma*t^2, coefficients taken mod 8, over one
+    full period mod 8 (its values mod 8 depend on nothing else).
 
     If no value can be a square residue, report why: always 5 (mod 8),
     always oddly even (2 mod 4), or some other non-residue pattern.
     """
-    values = {q.value_at(t) % 8 for t in range(8)}
+    values = {(m - beta * t - gamma * t * t) % 8 for t in range(8)}
     if values & SQUARE_RESIDUES_MOD_8:
         return None
     if values == {5}:
@@ -168,7 +187,7 @@ def _child(branch: ScanBranch, scale: int, offset: int, tag: str) -> ScanBranch:
             offset=outer.scale * offset + outer.offset,
             divisor=divisor,
         ),
-        prune_reason=_prune_reason(child),
+        prune_reason=_prune_reason(m % 8, beta % 8, gamma % 8),
         depth=branch.depth + 1,
     )
 
@@ -185,7 +204,11 @@ def initial_quadratic(n: int, r: int) -> ScanBranch:
     q = Quadratic(m=(n - r * r) // 25, beta=2 * r, gamma=25)
     chain = SubstitutionChain(scale=25, offset=r, divisor=25)
     return ScanBranch(
-        name="Q", quadratic=q, chain=chain, prune_reason=_prune_reason(q), depth=0
+        name="Q",
+        quadratic=q,
+        chain=chain,
+        prune_reason=_prune_reason(q.m % 8, q.beta % 8, q.gamma % 8),
+        depth=0,
     )
 
 
@@ -232,35 +255,67 @@ def expand_branches(root: ScanBranch, *, respect_pruning: bool = True) -> list[S
     return leaves
 
 
+@cache
+def residue_pattern(p: int, m: int, beta: int, gamma: int) -> bytes:
+    """Byte k is 1 when m - beta*k - gamma*k^2, coefficients taken mod p,
+    is a square mod p.
+
+    A quadratic with integer coefficients has Q(t) mod p equal to this
+    at k = t mod p, so a t whose byte is 0 never makes Q(t) a perfect
+    square.  The cache holds at most p^3 patterns per modulus.
+    """
+    squares = {j * j % p for j in range(p)}
+    return bytes([(m - beta * k - gamma * k * k) % p in squares for k in range(p)])
+
+
 def scan_branch(branch: ScanBranch) -> tuple[list[ScanHit], range]:
-    """Visit every integer t with Q(t) >= 0 and collect the perfect
-    squares among the values.
+    """Find the t with Q(t) >= 0 at which Q(t) is a perfect square.
 
     Returns (hits, ts): the hits sorted by t, and ts, the range of
     exactly the t with Q(t) >= 0 (empty when Q is everywhere negative).
     Since 4*gamma*Q(t) = beta^2 + 4*gamma*m - (2*gamma*t + beta)^2, that
-    range is |2*gamma*t + beta| <= isqrt(beta^2 + 4*gamma*m).  It is
-    walked upward once; the running value drops by a first difference
-    that grows by 2*gamma per step.
+    range is |2*gamma*t + beta| <= isqrt(beta^2 + 4*gamma*m).
+
+    ts is sieved, not walked: each modulus of SIEVE_MODULI that the
+    leaf is long enough for gives a residue_pattern.  If one pattern is
+    all zero, no t can be a hit.  Otherwise, window by window, the
+    patterns rotated to the window's first t and repeated over it are
+    ANDed into one mask, and only the t it keeps are evaluated and
+    tested with isqrt.
     """
     q = branch.quadratic
+    m, beta, gamma = q.m, q.beta, q.gamma
     hits: list[ScanHit] = []
-    disc = q.beta * q.beta + 4 * q.gamma * q.m
+    disc = beta * beta + 4 * gamma * m
     if disc < 0:
         return hits, range(0)
     r = math.isqrt(disc)
-    ts = range(-((r + q.beta) // (2 * q.gamma)), (r - q.beta) // (2 * q.gamma) + 1)
-    value = q.value_at(ts.start)
-    # Q(t) - Q(t + 1) at t = ts.start
-    diff = q.beta + q.gamma * (2 * ts.start + 1)
-    step = 2 * q.gamma
-    for t in ts:
-        if value & 7 in SQUARE_RESIDUES_MOD_8:
+    ts = range(-((r + beta) // (2 * gamma)), (r - beta) // (2 * gamma) + 1)
+    patterns = [
+        residue_pattern(p, m % p, beta % p, gamma % p)
+        for p in SIEVE_MODULI
+        if p == 16 or len(ts) >= _ROWS_PER_CLASS * p
+    ]
+    if any(1 not in pattern for pattern in patterns):
+        return hits, ts
+    for lo in range(ts.start, ts.stop, SIEVE_WINDOW):
+        width = min(SIEVE_WINDOW, ts.stop - lo)
+        mask = (1 << 8 * width) - 1
+        for pattern in patterns:
+            k = lo % len(pattern)
+            rotated = pattern[k:] + pattern[:k]
+            mask &= int.from_bytes(rotated * (width // len(pattern) + 1), "little")
+        survivors = mask.to_bytes(width, "little")
+        # find jumps to the next survivor in C; compress(range(...), mask)
+        # would make a Python int for every t and cost twice the scan
+        i = survivors.find(1)
+        while i >= 0:
+            t = lo + i
+            i = survivors.find(1, i + 1)
+            value = m - beta * t - gamma * t * t
             root = math.isqrt(value)
             if root * root == value:
                 hits.append(ScanHit(branch, t, value, root))
-        value -= diff
-        diff += step
     return hits, ts
 
 

@@ -1,5 +1,7 @@
 import gc
+import itertools
 import math
+import random
 
 import pytest
 
@@ -8,6 +10,8 @@ from twosquares.classify import classify
 from twosquares.report import render_difference_table, render_scan_table
 from twosquares.scan import (
     MAX_REFINE_DEPTH,
+    SIEVE_MODULI,
+    SIEVE_WINDOW,
     InternalConsistencyError,
     PruneReason,
     Quadratic,
@@ -18,10 +22,75 @@ from twosquares.scan import (
     initial_quadratic,
     recover_xy,
     refine,
+    residue_pattern,
     scan_branch,
 )
+from twosquares.scan import _prune_reason
 
 SQUARES_MOD_8 = {0, 1, 4}
+
+
+def reference_scan(branch):
+    """Reference for scan_branch: the per-row difference-table walk over
+    every t with Q(t) >= 0, one subtraction per row, mod-8 prefilter,
+    then isqrt.  Returns ([(t, value, root)] by t, ts)."""
+    q = branch.quadratic
+    disc = q.beta * q.beta + 4 * q.gamma * q.m
+    if disc < 0:
+        return [], range(0)
+    r = math.isqrt(disc)
+    ts = range(-((r + q.beta) // (2 * q.gamma)), (r - q.beta) // (2 * q.gamma) + 1)
+    hits = []
+    value = q.value_at(ts.start)
+    diff = q.beta + q.gamma * (2 * ts.start + 1)
+    for t in ts:
+        if value & 7 in SQUARES_MOD_8:
+            root = math.isqrt(value)
+            if root * root == value:
+                hits.append((t, value, root))
+        value -= diff
+        diff += 2 * q.gamma
+    return hits, ts
+
+
+def reference_prune_reason(q):
+    """The pruning rule evaluated on Q itself at t = 0..7."""
+    values = {q.value_at(t) % 8 for t in range(8)}
+    if values & SQUARES_MOD_8:
+        return None
+    if values == {5}:
+        return PruneReason.ALWAYS_FIVE_MOD_8
+    if all(v % 4 == 2 for v in values):
+        return PruneReason.ODDLY_EVEN
+    return PruneReason.OTHER_NON_RESIDUE
+
+
+def assert_scan_matches_reference(branch):
+    hits, ts = scan_branch(branch)
+    ref_hits, ref_ts = reference_scan(branch)
+    assert ts == ref_ts, branch.name
+    assert [(h.t, h.value, h.root) for h in hits] == ref_hits, branch.name
+    assert all(h.branch is branch for h in hits)
+    return hits, ts
+
+
+def eligible_sample(rng, lo, hi, count):
+    ns = []
+    while len(ns) < count:
+        n = rng.randrange(lo, hi)
+        if classify(n).is_eligible:
+            ns.append(n)
+    return ns
+
+
+def synthetic(m, beta, gamma):
+    return ScanBranch(
+        name="synthetic",
+        quadratic=Quadratic(m, beta, gamma),
+        chain=SubstitutionChain(25, 1, 25),
+        prune_reason=None,
+        depth=0,
+    )
 
 
 def leaves_of(n):
@@ -119,13 +188,7 @@ def test_divisor_always_square():
 
 def vertex_island_branch():
     # Q(0) < 0 <= Q near the vertex: nonnegative only for t = 1, 2, 3
-    return ScanBranch(
-        name="synthetic",
-        quadratic=Quadratic(-4, -100, 25),
-        chain=SubstitutionChain(25, 1, 25),
-        prune_reason=None,
-        depth=0,
-    )
+    return synthetic(-4, -100, 25)
 
 
 def test_scan_branch_b_single_hit():
@@ -353,3 +416,86 @@ def test_real_inputs_never_hit_depth_cap():
             continue
         root = initial_quadratic(n, e.roots_mod25[0])
         assert all(b.depth <= 2 for b in expand_branches(root))
+
+
+def test_sieve_matches_reference_scan_on_every_leaf():
+    # pruning off, both mod-25 roots: pruned leaves and excluded leaves too
+    ns = list(range(9, 20001)) + eligible_sample(random.Random(1009), 10**10, 10**12, 30)
+    leaves = 0
+    for n in ns:
+        e = classify(n)
+        if not e.is_eligible:
+            continue
+        for r in e.roots_mod25:
+            for leaf in expand_branches(initial_quadratic(n, r), respect_pruning=False):
+                assert leaf.prune_reason == reference_prune_reason(leaf.quadratic)
+                assert_scan_matches_reference(leaf)
+                leaves += 1
+    assert leaves > 20000
+
+
+def test_prune_lookup_matches_eight_point_evaluation():
+    rng = random.Random(512)
+    for m, beta, gamma in itertools.product(range(8), repeat=3):
+        for _ in range(3):
+            q = Quadratic(
+                m + 8 * rng.randrange(-10**12, 10**12),
+                beta + 8 * rng.randrange(-10**12, 10**12),
+                gamma + 8 * rng.randrange(1, 10**12),
+            )
+            assert _prune_reason(m, beta, gamma) == reference_prune_reason(q), q
+
+
+def test_residue_patterns_exclude_only_non_squares():
+    rng = random.Random(29)
+    for p in SIEVE_MODULI:
+        squares = {j * j % p for j in range(p)}
+        for sign in (1, -1):
+            for _ in range(40):
+                q = Quadratic(
+                    rng.randrange(-10**15, 10**15),
+                    sign * rng.randrange(1, 10**8),
+                    rng.randrange(1, 10**6),
+                )
+                pattern = residue_pattern(p, q.m % p, q.beta % p, q.gamma % p)
+                assert len(pattern) == p and set(pattern) <= {0, 1}
+                for t in range(-3 * p, 3 * p):
+                    assert pattern[t % p] == (q.value_at(t) % p in squares), (p, q, t)
+
+
+def test_sieve_across_several_windows_from_negative_t():
+    # Q(t) = M - (t + 7)^2 with M = 5^2 * 13^2 * 17 * 29 * 37, a sum of two
+    # squares in many ways, so hits fall in many windows
+    big = 5**2 * 13**2 * 17 * 29 * 37
+    hits, ts = assert_scan_matches_reference(synthetic(big - 49, 14, 1))
+    assert ts.start < -SIEVE_WINDOW and len(ts) > 5 * SIEVE_WINDOW
+    assert len({(h.t - ts.start) // SIEVE_WINDOW for h in hits}) > 3
+
+
+@pytest.mark.parametrize("edge", [SIEVE_WINDOW - 1, SIEVE_WINDOW, 2 * SIEVE_WINDOW])
+def test_sieve_finds_a_hit_at_a_window_edge(edge):
+    # Q(t) = a^2 + b^2 - t^2 with isqrt(a^2 + b^2) = a + edge: ts starts
+    # at -(a + edge), so t = -a, where Q = b^2, is edge rows into ts
+    b = 3 * edge
+    a = (b * b - edge * edge) // (2 * edge)
+    br = synthetic(a * a + b * b, 0, 1)
+    hits, ts = assert_scan_matches_reference(br)
+    assert ts.start + edge == -a
+    assert (-a, b * b, b) in [(h.t, h.value, h.root) for h in hits]
+
+
+def test_excluded_leaf_returns_its_whole_range():
+    # a leaf whose pattern mod p is all zero is not walked, but its ts is
+    # still exactly the nonnegative range (the rendered tables and the
+    # benchmark's row count read it)
+    excluded = {}
+    for n in (1000081, 10**13 + 41):
+        for leaf in leaves_of(n).values():
+            q = leaf.quadratic
+            for p in SIEVE_MODULI:
+                if 1 not in residue_pattern(p, q.m % p, q.beta % p, q.gamma % p):
+                    excluded.setdefault(p, leaf)
+    assert 16 in excluded and set(excluded) - {16}
+    for leaf in excluded.values():
+        hits, ts = assert_scan_matches_reference(leaf)
+        assert hits == [] and len(ts) > 0

@@ -1,4 +1,5 @@
-"""The magnitude cap and the one decimal spelling of an integer.
+"""What several modules share: the magnitude cap, the one decimal
+spelling of an integer, and the error for a failed internal check.
 
 The cap of 2**63 - 1 keeps results reproducible on consumers with
 fixed-width integers; it is checked once, where N enters (classify,
@@ -10,6 +11,10 @@ are exact at any width).
 from __future__ import annotations
 
 MAX_MAGNITUDE = 2**63 - 1
+
+
+class InternalConsistencyError(RuntimeError):
+    """A result failed its own cross-check; indicates a bug."""
 
 
 def check_magnitude(n: int) -> None:

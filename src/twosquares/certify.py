@@ -22,7 +22,7 @@ from math import gcd, isqrt
 
 from .arith import parse_decimal
 from .classify import Eligibility, classify
-from .factorize import TwoRepWitness, factor_with_witness
+from .factorize import TwoRepWitness, factor_with_witness, witness_violation
 from .represent import Representation, oracle_representations, representations
 
 METHOD_VERSION = "1.0"
@@ -100,32 +100,12 @@ def _is_prime_trial(n: int) -> bool:
     return all(n % d for d in range(3, isqrt(n) + 1, 2))
 
 
-def _witness_consistent(number: int, w: TwoRepWitness) -> bool:
-    pairs = {w.rep1.members(), w.rep2.members()}
-    if {tuple(sorted((w.a, w.b), reverse=True)), tuple(sorted((w.c, w.d), reverse=True))} != pairs:
-        return False
-    if w.a * w.a + w.b * w.b != number or w.c * w.c + w.d * w.d != number:
-        return False
-    if w.u != abs(w.a - w.c) or w.v != abs(w.d - w.b):
-        return False
-    if w.k != gcd(w.u, w.v) or w.k == 0:
-        return False
-    if w.l * w.k != w.u or w.m * w.k != w.v:
-        return False
-    if w.m * w.n != w.a + w.c or w.l * w.n != w.d + w.b:
-        return False
-    if (w.k**2 + w.n**2) * (w.l**2 + w.m**2) != 4 * number:
-        return False
-    if w.f1 * w.f2 != number or not 1 < w.f1 <= w.f2 < number:
-        return False
-    return True
-
-
 def verify(cert: Certificate) -> bool:
     """Rebuild the certificate from the brute-force oracle's
     representations and accept only an exact match; then re-check the
-    primality by trial division, the factor product and the witness
-    identities.  Never runs the scan engine.  False on any mismatch."""
+    primality by trial division, the factor product, and the witness
+    with witness_violation, the check factor recovery ends with.  Never
+    runs the scan engine.  False on any mismatch."""
     try:
         n = cert.n
         elig = classify(n)
@@ -138,7 +118,7 @@ def verify(cert: Certificate) -> bool:
             f1, f2 = cert.factors
             if not (1 < f1 <= f2 < n and f1 * f2 == n):
                 return False
-        return cert.witness is None or _witness_consistent(n, cert.witness)
+        return cert.witness is None or witness_violation(n, cert.witness) is None
     except (ValueError, OverflowError, TypeError):
         return False
 
@@ -147,15 +127,17 @@ def verify(cert: Certificate) -> bool:
 # serialization (integers as decimal strings, fixed key order)
 # ---------------------------------------------------------------------------
 
+#: the witness's integer fields, in document order after rep1 and rep2
+_WITNESS_INTEGERS = ("a", "b", "c", "d", "u", "v", "k", "l", "m", "n", "f1", "f2")
+
+
 def _rep_to_json(rep: Representation) -> dict:
     return {"a": str(rep.a), "b": str(rep.b), "coprime": rep.coprime}
 
 
 def _witness_to_json(w: TwoRepWitness) -> dict:
     out = {"rep1": _rep_to_json(w.rep1), "rep2": _rep_to_json(w.rep2)}
-    for field in ("a", "b", "c", "d", "u", "v", "k", "l", "m", "n", "f1", "f2"):
-        out[field] = str(getattr(w, field))
-    return out
+    return out | {f: str(getattr(w, f)) for f in _WITNESS_INTEGERS}
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -193,13 +175,12 @@ def _rep_from_json(doc, what: str) -> Representation:
 
 
 def _witness_from_json(doc) -> TwoRepWitness:
-    fields = ("a", "b", "c", "d", "u", "v", "k", "l", "m", "n", "f1", "f2")
-    if not isinstance(doc, dict) or set(doc) != {"rep1", "rep2", *fields}:
+    if not isinstance(doc, dict) or set(doc) != {"rep1", "rep2", *_WITNESS_INTEGERS}:
         raise CertificateError("witness has wrong fields")
     return TwoRepWitness(
         rep1=_rep_from_json(doc["rep1"], "witness.rep1"),
         rep2=_rep_from_json(doc["rep2"], "witness.rep2"),
-        **{f: _parse_int(doc[f], f"witness.{f}") for f in fields},
+        **{f: _parse_int(doc[f], f"witness.{f}") for f in _WITNESS_INTEGERS},
     )
 
 

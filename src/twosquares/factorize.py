@@ -7,14 +7,15 @@ holds, giving
 
     4*N = (k^2 + n^2) * (l^2 + m^2),
 
-which splits N into two nontrivial factors once the constant 4 is
-distributed according to the parities of k, n and l, m.
+which splits N into two nontrivial factors once the 4 is split by
+parity: (k^2 + n^2)/4 * (l^2 + m^2) when 4 divides k^2 + n^2, and
+(k^2 + n^2)/2 * (l^2 + m^2)/2 otherwise.
 
-Two member arrangements are implemented: the canonical one pairs the
-even members as (a, c) and the odd members as (b, d), which forces k
-and n even so the factors are ((k/2)^2 + (n/2)^2) and (l^2 + m^2); the
-alternate mixed-parity arrangement makes all of k, l, m, n odd and the
-factors (k^2 + n^2)/2 and (l^2 + m^2)/2.
+One derivation takes either of two arrangements of the members: the
+canonical one pairs the even members as (a, c) and the odd ones as
+(b, d), forcing k and n even; the paper's mixed one pairs across
+parities, making all of k, l, m, n odd.  witness_violation() names the
+first identity a witness fails; recovery and certify.verify end with it.
 
 A second, independent route forms the transposed products
 (a - d)(a + d) = (c - b)(c + b) from rep1 = (a, b), rep2 = (c, d),
@@ -27,19 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .arith import InternalConsistencyError
 from .represent import Representation
-from .scan import InternalConsistencyError
 
 
 @dataclass(frozen=True)
 class TwoRepWitness:
-    """Factorization witness from two representations.
-
-    In the canonical arrangement a, c are the even members and b, d the
-    odd members; the mixed arrangement (alternate code path) pairs
-    across parities instead.  Either way f1 * f2 = N, 1 < f1 <= f2 < N,
-    and 4*N = (k^2 + n^2) * (l^2 + m^2).
-    """
+    """Factorization witness from either arrangement of the members of
+    two representations (canonical: a, c even and b, d odd; mixed:
+    a, d even and b, c odd); f1 * f2 = N with 1 < f1 <= f2 < N, and
+    4*N = (k^2 + n^2) * (l^2 + m^2)."""
 
     rep1: Representation
     rep2: Representation
@@ -67,31 +65,50 @@ def _validate_pair(number: int, rep1: Representation, rep2: Representation) -> N
         raise ValueError("the two representations must be distinct")
 
 
-def _check_split(number: int, f1: int, f2: int) -> None:
-    if f1 * f2 != number or not 1 < f1 <= f2 < number:
-        raise InternalConsistencyError(f"{f1} * {f2} is not a nontrivial split of {number}")
+def witness_violation(number: int, w: TwoRepWitness) -> str | None:
+    """The first identity the witness fails for number, by name; None
+    when it satisfies them all."""
+    pairs = {w.rep1.members(), w.rep2.members()}
+    if {(max(w.a, w.b), min(w.a, w.b)), (max(w.c, w.d), min(w.c, w.d))} != pairs:
+        return "{a, b}, {c, d} = the members of rep1, rep2"
+    if w.a * w.a + w.b * w.b != number or w.c * w.c + w.d * w.d != number:
+        return "a^2 + b^2 = c^2 + d^2 = N"
+    if w.u != abs(w.a - w.c) or w.v != abs(w.d - w.b):
+        return "u = |a - c|, v = |d - b|"
+    if w.k == 0 or w.k != gcd(w.u, w.v):
+        return "k = gcd(u, v) > 0"
+    if w.k * w.l != w.u or w.k * w.m != w.v:
+        return "u = k*l, v = k*m"
+    if w.m * w.n != w.a + w.c or w.l * w.n != w.d + w.b:
+        return "a + c = m*n, d + b = l*n"
+    if (w.k**2 + w.n**2) * (w.l**2 + w.m**2) != 4 * number:
+        return "4*N = (k^2 + n^2) * (l^2 + m^2)"
+    if w.f1 * w.f2 != number or not 1 < w.f1 <= w.f2 < number:
+        return "f1 * f2 = N with 1 < f1 <= f2 < N"
+    return None
 
 
 def _even_odd(rep: Representation) -> tuple[int, int]:
-    if rep.a % 2 == 0:
-        return rep.a, rep.b
-    return rep.b, rep.a
+    return (rep.a, rep.b) if rep.a % 2 == 0 else (rep.b, rep.a)
 
 
-def _derive(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int, int, int]:
-    """Common k, l, m, n derivation; returns (u, v, k, l, m, n)."""
-    u = abs(a - c)
-    v = abs(d - b)
+def _klmn(number: int, rep1: Representation, rep2: Representation,
+          a: int, b: int, c: int, d: int) -> TwoRepWitness:
+    """The k, l, m, n derivation from one arrangement of the members,
+    checked by witness_violation before it is returned."""
+    u, v = abs(a - c), abs(d - b)
     if u == 0 or v == 0:
         raise InternalConsistencyError("distinct representations cannot collide")
     k = gcd(u, v)
     l, m = u // k, v // k
-    n, rem = divmod(a + c, m)
-    if rem != 0:
-        raise InternalConsistencyError("m must divide a + c")
-    if l * n != d + b:
-        raise InternalConsistencyError("cross-identity l*n = d + b failed")
-    return u, v, k, l, m, n
+    n = (a + c) // m
+    s, t = k * k + n * n, l * l + m * m
+    f1, f2 = sorted((s // 4, t) if s % 4 == 0 else (s // 2, t // 2))
+    w = TwoRepWitness(rep1, rep2, a, b, c, d, u, v, k, l, m, n, f1, f2)
+    violation = witness_violation(number, w)
+    if violation is not None:
+        raise InternalConsistencyError(f"witness for {number} fails {violation}")
+    return w
 
 
 def klmn_factor(number: int, rep1: Representation, rep2: Representation) -> TwoRepWitness:
@@ -103,14 +120,7 @@ def klmn_factor(number: int, rep1: Representation, rep2: Representation) -> TwoR
     """
     _validate_pair(number, rep1, rep2)
     (a, b), (c, d) = sorted((_even_odd(rep1), _even_odd(rep2)), reverse=True)
-    u, v, k, l, m, n = _derive(a, b, c, d)
-    if k % 2 or n % 2:
-        raise InternalConsistencyError("even/odd arrangement forces k, n even")
-    f1 = (k // 2) ** 2 + (n // 2) ** 2
-    f2 = l * l + m * m
-    f1, f2 = sorted((f1, f2))
-    _check_split(number, f1, f2)
-    return TwoRepWitness(rep1, rep2, a, b, c, d, u, v, k, l, m, n, f1, f2)
+    return _klmn(number, rep1, rep2, a, b, c, d)
 
 
 def klmn_factor_mixed(number: int, rep1: Representation, rep2: Representation) -> TwoRepWitness:
@@ -120,14 +130,7 @@ def klmn_factor_mixed(number: int, rep1: Representation, rep2: Representation) -
     _validate_pair(number, rep1, rep2)
     a, b = _even_odd(rep1)
     d, c = _even_odd(rep2)
-    u, v, k, l, m, n = _derive(a, b, c, d)
-    if not all(x % 2 == 1 for x in (k, l, m, n)):
-        raise InternalConsistencyError("mixed arrangement forces k,l,m,n odd")
-    f1 = (k * k + n * n) // 2
-    f2 = (l * l + m * m) // 2
-    f1, f2 = sorted((f1, f2))
-    _check_split(number, f1, f2)
-    return TwoRepWitness(rep1, rep2, a, b, c, d, u, v, k, l, m, n, f1, f2)
+    return _klmn(number, rep1, rep2, a, b, c, d)
 
 
 def transposed_fraction(rep1: Representation, rep2: Representation) -> tuple[int, int]:
@@ -158,20 +161,13 @@ def select_pair(reps: list[Representation]) -> tuple[Representation, Representat
 
 
 def factor_with_witness(number: int, reps: list[Representation]) -> TwoRepWitness:
-    """Run both factorization routes on the two smallest representations
-    and cross-check them.
-
-    The routes must agree that number splits: g divides f1*f2 with
-    1 < g < number.  They need not produce the same split; with three
-    or more prime factors the two arrangements can extract different
-    (equally valid) divisors, e.g. 4329 = 13*333 = 37*117.
-    """
+    """Factor number from its two smallest representations; the gcd
+    route must also find a nontrivial divisor, though not the same split
+    (4329 = 13*333 = 37*117 with three or more prime factors)."""
     rep1, rep2 = select_pair(reps)
     witness = klmn_factor(number, rep1, rep2)
-    g = gcd_fraction_factor(number, rep1, rep2)
-    if (witness.f1 * witness.f2) % g != 0 or g in (1, number):
-        raise InternalConsistencyError(
-            f"factor routes inconsistent on {number}: {g} vs {witness.f1}*{witness.f2}"
-        )
+    try:
+        gcd_fraction_factor(number, rep1, rep2)
+    except ValueError as exc:
+        raise InternalConsistencyError(f"gcd route failed on {number}: {exc}") from exc
     return witness
-

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .arith import check_magnitude
+from .arith import InternalConsistencyError, check_magnitude
 
 #: quadratic coefficient of refinable branches (the residual's 25)
 _REFINABLE_GAMMA = 25
@@ -56,10 +56,6 @@ _ROWS_PER_CLASS = 4
 
 #: t per sieve window; the window's masks stay a few KB
 SIEVE_WINDOW = 2048
-
-
-class InternalConsistencyError(RuntimeError):
-    """A result failed its own cross-check; indicates a bug."""
 
 
 class PruneReason(Enum):

@@ -1,11 +1,13 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from twosquares import certify, represent
 from twosquares.certify import (
     Certificate,
+    _WITNESS_INTEGERS,
     CertificateError,
     Verdict,
     certificate_from_json,
@@ -13,6 +15,7 @@ from twosquares.certify import (
     decide,
     verify,
 )
+from twosquares.factorize import witness_violation
 from twosquares.represent import Representation
 
 
@@ -162,6 +165,71 @@ def test_verify_never_runs_the_scan_engine(monkeypatch):
         assert verify(cert), cert.n
 
 
+# verify's checks after the exact match: each forgery below is handed to
+# verify as the certificate the oracle's list implies, so the match
+# passes and only the later checks can reject it.
+
+def verify_past_the_match(monkeypatch, forged: Certificate) -> bool:
+    monkeypatch.setattr(certify, "certificate_for", lambda elig, reps: forged)
+    return verify(forged)
+
+
+def witness_forgeries():
+    w = decide(1000009).witness
+    for field in _WITNESS_INTEGERS:
+        yield field, replace(w, **{field: getattr(w, field) + 1})
+    for field in ("rep1", "rep2"):
+        rep = getattr(w, field)
+        yield field, replace(w, **{field: Representation(rep.a + 1, rep.b, rep.coprime)})
+
+
+EXPECTED_VIOLATION = {
+    **dict.fromkeys(("a", "b", "c", "d", "rep1", "rep2"), "{a, b}, {c, d} = the members of rep1, rep2"),
+    "u": "u = |a - c|, v = |d - b|",
+    "v": "u = |a - c|, v = |d - b|",
+    "k": "k = gcd(u, v) > 0",
+    "l": "u = k*l, v = k*m",
+    "m": "u = k*l, v = k*m",
+    "n": "a + c = m*n, d + b = l*n",
+    "f1": "f1 * f2 = N with 1 < f1 <= f2 < N",
+    "f2": "f1 * f2 = N with 1 < f1 <= f2 < N",
+}
+
+
+def test_verify_past_the_match_accepts_the_genuine_certificate(monkeypatch):
+    for n in (1000009, 1000081, 261):
+        assert verify_past_the_match(monkeypatch, decide(n))
+
+
+def test_verify_rechecks_every_witness_field(monkeypatch):
+    cert = decide(1000009)
+    forgeries = dict(witness_forgeries())
+    assert set(forgeries) == set(EXPECTED_VIOLATION)
+    for field, forged in forgeries.items():
+        assert witness_violation(1000009, forged) == EXPECTED_VIOLATION[field], field
+        assert not verify_past_the_match(monkeypatch, replace(cert, witness=forged)), field
+
+
+def test_verify_rechecks_the_witness_represents_n(monkeypatch):
+    # 1000009's witness on 1105 = 5 * 13 * 17, with 1105's own factors
+    forged = replace(decide(1105), witness=decide(1000009).witness)
+    assert witness_violation(1105, forged.witness) == "a^2 + b^2 = c^2 + d^2 = N"
+    assert not verify_past_the_match(monkeypatch, forged)
+
+
+def test_verify_rechecks_primality_by_trial_division(monkeypatch):
+    forged = replace(decide(1000009), verdict=Verdict.PRIME, factors=None, witness=None)
+    assert not verify_past_the_match(monkeypatch, forged)
+
+
+def test_verify_rechecks_the_factor_range(monkeypatch):
+    forged = replace(
+        decide(1000081), verdict=Verdict.COMPOSITE_WITH_FACTORS, factors=(1, 1000081)
+    )
+    assert forged.witness is None
+    assert not verify_past_the_match(monkeypatch, forged)
+
+
 def test_serialization_roundtrip_byte_identical():
     for n in (1000009, 1000081, 21, 81, 10):
         text = certificate_to_json(decide(n))
@@ -249,7 +317,7 @@ def mutate_document(doc: dict, rng: random.Random) -> dict | None:
     elif doc["verdict"] != "ineligible":
         targets.append("spurious_factors")
     if doc["witness"]:
-        for f in ("a", "b", "c", "d", "u", "v", "k", "l", "m", "n", "f1", "f2"):
+        for f in _WITNESS_INTEGERS:
             targets.append(("witness", f))
         targets.extend([("witness_rep", "rep1", "a"), ("witness_rep", "rep2", "b")])
 

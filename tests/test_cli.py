@@ -120,6 +120,44 @@ def test_verify_malformed_exits_two(capsys, tmp_path):
     assert code == 2
 
 
+def malformed(edit) -> str:
+    """prove 1000009's document with one field broken by edit(doc)."""
+    doc = json.loads(certify.certificate_to_json(certify.decide(1000009)))
+    edit(doc)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# each breaks one field so that one parse check, named by its message,
+# rejects the document
+MALFORMED = {
+    "representation_missing_field": (
+        lambda d: d["representations"][0].pop("coprime"), "must have fields a, b, coprime"
+    ),
+    "coprime_not_boolean": (
+        lambda d: d["representations"][0].update(coprime="true"), "coprime must be a boolean"
+    ),
+    "witness_wrong_fields": (lambda d: d["witness"].pop("f2"), "witness has wrong fields"),
+    "unknown_verdict": (lambda d: d.update(verdict="probable_prime"), "unknown verdict"),
+    "representations_not_list": (
+        lambda d: d.update(representations={}), "representations must be a list"
+    ),
+    "factors_not_pair": (lambda d: d.update(factors=["293"]), "factors must be null or a pair"),
+    "notes_not_string": (lambda d: d.update(notes=None), "notes and method_version must be"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_verify_parse_errors_exit_two(capsys, tmp_path, name):
+    edit, message = MALFORMED[name]
+    text = malformed(edit)
+    with pytest.raises(certify.CertificateError, match=message):
+        certify.certificate_from_json(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and err.startswith("error: ") and message in err, err
+
+
 def test_scan_output(capsys):
     code, out, _ = run(capsys, "scan", "1000009")
     assert code == 0

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twosquares import factorize
+from twosquares.arith import InternalConsistencyError
 from twosquares.factorize import (
     factor_with_witness,
     gcd_fraction_factor,
@@ -87,6 +89,20 @@ def test_routes_can_disagree_on_split_but_stay_consistent():
     assert split.f1 * split.f2 == 4329
 
 
+def test_failed_gcd_route_is_an_internal_error(monkeypatch):
+    # p/q = 1/1 gives gcd(N, 2) = 1 for odd N: a trivial divisor
+    monkeypatch.setattr(factorize, "transposed_fraction", lambda rep1, rep2: (1, 1))
+    with pytest.raises(InternalConsistencyError, match="gcd route failed on 1000009"):
+        factor_with_witness(1000009, list(R1000009))
+
+
+def test_recovery_ends_with_the_witness_check(monkeypatch):
+    monkeypatch.setattr(factorize, "witness_violation", lambda number, w: "some identity")
+    for recover in (klmn_factor, klmn_factor_mixed):
+        with pytest.raises(InternalConsistencyError, match="fails some identity"):
+            recover(1000009, *R1000009)
+
+
 def test_requires_two_distinct():
     rep = Representation.of(1000, 3)
     with pytest.raises(ValueError):
@@ -98,6 +114,11 @@ def test_requires_two_distinct():
 def test_requires_odd_number():
     with pytest.raises(ValueError):
         klmn_factor(50, Representation.of(7, 1), Representation.of(5, 5))
+
+
+def test_requires_representations_of_number():
+    with pytest.raises(ValueError, match="does not represent"):
+        klmn_factor(1000009, Representation.of(1000, 4), R1000009[1])
 
 
 def test_property_small_corpus():
@@ -140,15 +161,18 @@ def test_identity_on_constructed_products(a, b, c, d):
 
 
 def test_internal_checks_survive_optimized_mode():
-    # under python -O an assert would vanish and _derive would return u = 0
+    # under python -O an assert would vanish and the derivation would
+    # go on with u = 0
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "from twosquares.factorize import _derive\n"
-        "from twosquares.scan import InternalConsistencyError\n"
+        "from twosquares.arith import InternalConsistencyError\n"
+        "from twosquares.factorize import _klmn\n"
+        "from twosquares.represent import Representation\n"
+        "rep = Representation.of(2, 1)\n"
         "print(__debug__)\n"
         "try:\n"
-        "    print(_derive(1, 2, 1, 3))\n"
+        "    print(_klmn(5, rep, rep, 1, 2, 1, 3))\n"
         "except InternalConsistencyError as exc:\n"
         "    print('raised:', exc)\n"
     )

@@ -93,10 +93,7 @@ def decide(n: int) -> Certificate:
 # ---------------------------------------------------------------------------
 
 def _is_prime_trial(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
+    """Trial division by odd d; n is odd and >= 29, as on a matched PRIME certificate."""
     return all(n % d for d in range(3, isqrt(n) + 1, 2))
 
 

@@ -26,8 +26,8 @@ from .certify import (
     decide,
     verify,
 )
-from .classify import MIN_ELIGIBLE, Eligibility, classify
-from .report import render_difference_table, render_scan_table, sweep_csv
+from .classify import MIN_ELIGIBLE, classify
+from .report import render_tree, sweep_csv
 from .represent import scan_tree
 
 
@@ -86,28 +86,6 @@ def _eligibility_json(n: int) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _render_tree(elig: Eligibility, walk: tuple) -> str:
-    """N's scan tables, drawn from its scan_tree walk (root, leaves, reps)."""
-    n = elig.n
-    root, leaves, reps = walk
-    if root is None:
-        return f"n = {n} is not eligible ({elig.status.value}); nothing to scan\n"
-    blocks = [f"n = {n}, substitution x = 25 t + {elig.roots_mod25[0]}", root.describe(), ""]
-    for leaf, scanned in leaves:
-        if scanned is None:
-            blocks.append(leaf.describe())
-        else:
-            hits, ts = scanned
-            blocks.append(render_difference_table(leaf, ts).rstrip("\n"))
-            blocks.append("")
-            blocks.append(render_scan_table(leaf, ts, hits).rstrip("\n"))
-            blocks.extend(f"hit: t = {h.t}, value = {h.value} = {h.root}^2" for h in hits)
-        blocks.append("")
-    listed = ", ".join(f"({r.a}, {r.b})" for r in reps) or "none"
-    blocks.append(f"representations: {listed}")
-    return "\n".join(blocks) + "\n"
-
-
 def _certificate_text(cert: Certificate) -> str:
     lines = [f"n = {cert.n}", f"verdict: {cert.verdict.value}"]
     if cert.representations:
@@ -139,19 +117,19 @@ def cmd_prove(args: argparse.Namespace) -> int:
     if args.format == "text":
         text = _certificate_text(cert)
         if args.emit_tables:
-            text += "\n" + _render_tree(elig, walk)
+            text += "\n" + render_tree(elig, walk)
     else:
         text = certificate_to_json(cert)
         if args.emit_tables:
             doc = json.loads(text)
-            doc["tables"] = _render_tree(elig, walk)
+            doc["tables"] = render_tree(elig, walk)
             text = json.dumps(doc, indent=2) + "\n"
     return _write_out(text, args.out)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     elig = classify(args.n)
-    sys.stdout.write(_render_tree(elig, scan_tree(elig)))
+    sys.stdout.write(render_tree(elig, scan_tree(elig)))
     return 0
 
 

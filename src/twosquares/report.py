@@ -1,11 +1,11 @@
-"""Text renderings of scan tables and the sweep CSV.
+"""Text renderings of the scan tree and the sweep CSV.
 
-Two table styles: the subtrahend/difference table (what gets
-subtracted for each step away from the start, with first differences
-growing by 2*gamma), and the running-subtraction table (the successive
-branch values themselves, squares marked with '*').  Both are a view
-over a scan: they take the range of t that scan_branch covered and
-evaluate the branch quadratic there.
+This module lays out every table line.  render_tree draws a whole
+scan_tree walk; each scanned leaf gets a subtrahend/difference table
+(what gets subtracted for each step away from the start, first
+differences growing by 2*gamma) and a running-subtraction table (the
+successive branch values, squares marked with '*').  Both tables are a
+view over the range of t that scan_branch covered.
 
 The side whose subtrahends grow more slowly (linear term working
 against the quadratic) is rendered first, matching the hand layout.
@@ -16,18 +16,17 @@ from __future__ import annotations
 
 import csv
 import io
+from itertools import chain, pairwise
 
 from .certify import Certificate
+from .classify import Eligibility
 from .scan import ScanBranch, ScanHit
 
 
-def _split_sides(
-    branch: ScanBranch, ts: range
-) -> tuple[tuple[int, int, None], list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """(head row, near side, far side) of a nonempty range ts.
+def _sides(branch: ScanBranch, ts: range) -> tuple[int, range, range]:
+    """(t0, near, far) of a nonempty range ts: the head t, and each
+    side's t going outward from it.
 
-    A row is (t, Q(t), first difference into it); the head row has no
-    difference, and each side lists its rows outward from the head.
     The head is t = 0 when Q(0) >= 0 (matching the hand tables), else
     the integer nearest the vertex -beta/(2*gamma) with the larger
     value.  The near side is the direction where the linear term works
@@ -39,29 +38,17 @@ def _split_sides(
     if 0 not in ts:
         lo = -q.beta // (2 * q.gamma)
         t0 = max((lo, lo + 1), key=q.value_at)
-    head = (t0, q.value_at(t0), None)
-
-    def side(outward: range) -> list[tuple[int, int, int]]:
-        rows, prev = [], head[1]
-        for t in outward:
-            value = q.value_at(t)
-            rows.append((t, value, prev - value))
-            prev = value
-        return rows
-
-    plus = side(range(t0 + 1, ts.stop))
-    minus = side(range(t0 - 1, ts.start - 1, -1))
-    if q.beta > 0:
-        return head, minus, plus
-    return head, plus, minus
+    plus = range(t0 + 1, ts.stop)
+    minus = range(t0 - 1, ts.start - 1, -1)
+    return (t0, minus, plus) if q.beta > 0 else (t0, plus, minus)
 
 
-def _side_label(branch: ScanBranch, near: bool) -> str:
+def _side_labels(branch: ScanBranch) -> tuple[str, str]:
+    """The near and far sides' column labels."""
     g, b = branch.quadratic.gamma, branch.quadratic.beta
     if b == 0:
-        return f"{g}c^2"
-    sign = "-" if near else "+"
-    return f"{g}c^2{sign}{abs(b)}c"
+        return f"{g}c^2", f"{g}c^2"
+    return f"{g}c^2-{abs(b)}c", f"{g}c^2+{abs(b)}c"
 
 
 def render_difference_table(branch: ScanBranch, ts: range) -> str:
@@ -72,40 +59,19 @@ def render_difference_table(branch: ScanBranch, ts: range) -> str:
     title = branch.describe()
     if not ts:
         return title + "\n  (no rows)\n"
-    m = branch.quadratic.m
-    head, near, far = _split_sides(branch, ts)
-    labels = (_side_label(branch, True), _side_label(branch, False))
-    sides = (near, far)
-
+    q = branch.quadratic
+    t0, near, far = _sides(branch, ts)
     depth = max(len(near), len(far))
-    cwidth = len(str(depth))
-    swidths = []
-    dwidths = []
-    for label, side in zip(labels, sides):
-        swidths.append(max(len(label), *(len(str(m - v)) for _, v, _ in [head] + side)))
-        dwidths.append(max([4] + [len(str(d)) for _, _, d in side]))
-
-    def cell(text: str, width: int) -> str:
-        return text.rjust(width)
-
-    lines = [title]
-    header = cell("c", cwidth)
-    for label, sw, dw in zip(labels, swidths, dwidths):
-        header += " | " + cell(label, sw) + " | " + cell("diff", dw)
-    lines.append(header)
-    for i in range(depth + 1):
-        line = cell(str(i), cwidth)
-        for side, sw, dw in zip(sides, swidths, dwidths):
-            if i == 0:
-                sub, diff = str(m - head[1]), ""
-            elif i <= len(side):
-                _, value, d = side[i - 1]
-                sub, diff = str(m - value), str(d)
-            else:
-                sub, diff = "", ""
-            line += " | " + cell(sub, sw) + " | " + cell(diff, dw)
-        lines.append(line.rstrip())
-    return "\n".join(lines) + "\n"
+    # one list of cells per column, header first; a short side pads with ""
+    columns = [["c", *map(str, range(depth + 1))]]
+    for label, side in zip(_side_labels(branch), (near, far)):
+        values = list(map(q.value_at, chain((t0,), side)))
+        pad = [""] * (depth - len(side))
+        columns.append([label, *(str(q.m - v) for v in values), *pad])
+        columns.append(["diff", "", *(str(a - b) for a, b in pairwise(values)), *pad])
+    widths = [max(map(len, column)) for column in columns]
+    rows = (" | ".join(map(str.rjust, row, widths)).rstrip() for row in zip(*columns))
+    return "\n".join([title, *rows]) + "\n"
 
 
 def render_scan_table(branch: ScanBranch, ts: range, hits: list[ScanHit]) -> str:
@@ -116,24 +82,46 @@ def render_scan_table(branch: ScanBranch, ts: range, hits: list[ScanHit]) -> str
     title = branch.describe()
     if not ts:
         return title + "\n  (no rows)\n"
-    head, near, far = _split_sides(branch, ts)
+    q = branch.quadratic
+    t0, near, far = _sides(branch, ts)
     hit_ts = {h.t for h in hits}
-    width = max(len(str(v)) for _, v, _ in [head] + near + far)
+    # every value on ts is >= 0, so the largest is the widest
+    width = len(str(max(map(q.value_at, ts))))
 
     def value_line(t: int, value: int) -> str:
-        mark = "* " if t in hit_ts else "  "
-        return mark + str(value).rjust(width)
+        return ("* " if t in hit_ts else "  ") + str(value).rjust(width)
 
     lines = [title]
-    for label, side in zip(
-        (_side_label(branch, True), _side_label(branch, False)), (near, far)
-    ):
-        lines.append(f"side {label}:")
-        lines.append(value_line(head[0], head[1]))
-        for t, value, diff in side:
-            lines.append("  " + str(diff).rjust(width))
-            lines.append(value_line(t, value))
+    for label, side in zip(_side_labels(branch), (near, far)):
+        prev = q.value_at(t0)
+        lines += [f"side {label}:", value_line(t0, prev)]
+        for t in side:
+            value = q.value_at(t)
+            lines += ["  " + str(prev - value).rjust(width), value_line(t, value)]
+            prev = value
     return "\n".join(lines) + "\n"
+
+
+def render_tree(elig: Eligibility, walk: tuple) -> str:
+    """N's scan tables, drawn from its scan_tree walk (root, leaves, reps)."""
+    n = elig.n
+    root, leaves, reps = walk
+    if root is None:
+        return f"n = {n} is not eligible ({elig.status.value}); nothing to scan\n"
+    blocks = [f"n = {n}, substitution x = 25 t + {elig.roots_mod25[0]}", root.describe(), ""]
+    for leaf, scanned in leaves:
+        if scanned is None:
+            blocks.append(leaf.describe())
+        else:
+            hits, ts = scanned
+            blocks.append(render_difference_table(leaf, ts).rstrip("\n"))
+            blocks.append("")
+            blocks.append(render_scan_table(leaf, ts, hits).rstrip("\n"))
+            blocks.extend(f"hit: t = {h.t}, value = {h.value} = {h.root}^2" for h in hits)
+        blocks.append("")
+    listed = ", ".join(f"({r.a}, {r.b})" for r in reps) or "none"
+    blocks.append(f"representations: {listed}")
+    return "\n".join(blocks) + "\n"
 
 
 def sweep_csv(certs: list[Certificate]) -> str:

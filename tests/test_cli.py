@@ -261,6 +261,9 @@ def test_cli_output_byte_identical(capsys):
         ("cli_scan_1000009.txt", ["scan", "1000009"]),
         ("cli_prove_1000009_tables.txt", ["prove", "1000009", "--format", "text", "--emit-tables"]),
         ("cli_prove_1000081_tables.json", ["prove", "1000081", "--emit-tables"]),
+        # every leaf empty or pruned; ineligible
+        ("cli_scan_21.txt", ["scan", "21"]),
+        ("cli_scan_23.txt", ["scan", "23"]),
     ],
 )
 def test_cli_output_matches_golden(capsys, name, argv):

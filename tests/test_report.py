@@ -4,7 +4,14 @@ from pathlib import Path
 from twosquares.certify import decide
 from twosquares.classify import classify
 from twosquares.report import render_difference_table, render_scan_table, sweep_csv
-from twosquares.scan import expand_branches, initial_quadratic, scan_branch
+from twosquares.scan import (
+    Quadratic,
+    ScanBranch,
+    SubstitutionChain,
+    expand_branches,
+    initial_quadratic,
+    scan_branch,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -98,6 +105,26 @@ def test_empty_rows_render_header_only():
     assert render_difference_table(br, ts).splitlines()[0].startswith("branch Q")
     assert "(no rows)" in render_difference_table(br, ts)
     assert "(no rows)" in render_scan_table(br, ts, hits)
+
+
+# (m, beta, gamma) of synthetic leaves at the layout's edges: beta = 0
+# (equal labels, hits on both sides); Q(0) < 0, so the head sits at the
+# vertex; a near side whose first subtrahend and difference are both
+# -12; one row; no rows
+EDGE_LEAVES = [(2500, 0, 100), (-10, -200, 25), (9894, 412, 400), (0, 0, 25), (-1, 0, 25)]
+
+
+def edge_layouts():
+    blocks = []
+    for m, beta, gamma in EDGE_LEAVES:
+        leaf = ScanBranch("edge", Quadratic(m, beta, gamma), SubstitutionChain(1, 0, 1), None, 0)
+        hits, ts = scan_branch(leaf)
+        blocks.append(render_difference_table(leaf, ts) + "\n" + render_scan_table(leaf, ts, hits))
+    return "\n".join(blocks)
+
+
+def test_edge_layouts_golden():
+    golden_check("report_edge_layouts.txt", edge_layouts())
 
 
 def test_rendering_is_pure():

@@ -145,6 +145,11 @@ def gcd_fraction_factor(number: int, rep1: Representation, rep2: Representation)
     """Nontrivial divisor of number via the reduced transposed fraction
     p/q: the divisor is gcd(number, p^2 + q^2)."""
     _validate_pair(number, rep1, rep2)
+    return _gcd_divisor(number, rep1, rep2)
+
+
+def _gcd_divisor(number: int, rep1: Representation, rep2: Representation) -> int:
+    """gcd_fraction_factor on a pair already validated."""
     p, q = transposed_fraction(rep1, rep2)
     g = gcd(number, p * p + q * q)
     if g in (1, number):
@@ -167,7 +172,7 @@ def factor_with_witness(number: int, reps: list[Representation]) -> TwoRepWitnes
     rep1, rep2 = select_pair(reps)
     witness = klmn_factor(number, rep1, rep2)
     try:
-        gcd_fraction_factor(number, rep1, rep2)
+        _gcd_divisor(number, rep1, rep2)
     except ValueError as exc:
         raise InternalConsistencyError(f"gcd route failed on {number}: {exc}") from exc
     return witness

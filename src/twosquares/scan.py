@@ -1,30 +1,43 @@
-"""Residual-quadratic branch construction, pruning and difference-table scans.
+"""Residual-quadratic branches, their pruning, and the leaf sieve.
 
-Starting from an eligible N with mod-25 root r, the substitution
-x = 25*t + r turns the question "is N - x^2 a square divisible by 25?"
-into "is Q(t) = (N - r^2)/25 - 2r*t - 25*t^2 a perfect square?".
+Every branch is one closed form.  On x = scale*t + offset,
 
-Q is then refined by splitting t into residue classes: the even class
-t = 2s (divided through by 4 whenever all coefficients allow, which
-keeps the quadratic coefficient at 25), and the odd classes t = 4s + 1
-and t = 4s - 1.  When the even class does not divide through, it is
-split once more into t = 4s and t = 4s + 2.  Each child quadratic is
-checked over a full period mod 8: if it only ever takes values outside
-the square residues {0, 1, 4} the branch is pruned (values always
-5 mod 8, values always oddly even, or some other non-residue pattern)
-and never scanned.
+    Q(t) = (N - x^2)/divisor = m - beta*t - gamma*t^2,
 
-Surviving branches are scanned over the exact range of t where the
-branch is nonnegative, by an exclusion sieve that carries the mod-8
-test on (Gauss's method of exclusion, Disquisitiones sec. VI): for each
-modulus p of SIEVE_MODULI, Q(t) mod p depends only on t mod p, so one
-p-byte pattern per leaf marks the t whose value can be a square mod p.
-Where a pattern marks no t the leaf holds no square at all; otherwise
-the patterns are ANDed over windows of t, and only the t that survive
-every modulus are evaluated and square-tested exactly with isqrt.  Hits
-map back through the substitution chain to a representation
-N = x^2 + y^2.  The scan keeps no rows: the difference tables in
-report.py are rendered from the covered range.
+so m, beta and gamma are N - offset^2, 2*scale*offset and scale^2 over
+the divisor, the largest 25*4^k that divides all three.  The root is
+x = 25*t + r for a mod-25 root r of N.  Refinement splits t into classes
+t = S*s + O, which compose into x, and each child is built from the
+closed form, not by substitution into its parent.  For N = 1000009 and
+r = 3 the paper's branches A (x = 50b + 3) and B (x = 100c + 28) are
+
+    A = 10000 - 3b - 25bb    = (1000009 - (50b + 3)^2)/100,
+    B = 39969 - 224c - 400cc = (1000009 - (100c + 28)^2)/25.
+
+A branch with gamma = 25 is refined: the even class t = 2s is kept when
+it divides through by 4, else split into t = 0 and t = 2 (mod 4); the
+odd classes t = 1 and t = 3 (mod 4) are always emitted.  No depth cap
+is needed: gamma = 25 at scale 25*2^j needs divisor 25*4^j, and for
+j >= 2 that divisor dividing beta makes offset even, so N - offset^2 is
+odd, as N is.  No branch below A divides through to gamma = 25.  The
+tree depends only on N mod 400 (tests/test_scan.py checks all 40
+eligible classes); no leaf is deeper than 2, and 3 of its 4 or 6 leaves
+are scannable.
+
+A branch whose values over one period mod 8 all miss the squares
+{0, 1, 4} is pruned (always 5 mod 8, always oddly even, or some other
+non-residue pattern), and neither refined nor scanned.
+
+Surviving leaves are scanned over the exact range of t where Q(t) >= 0,
+by an exclusion sieve that carries the mod-8 test on (Gauss's method of
+exclusion, Disquisitiones sec. VI): for each modulus p of SIEVE_MODULI,
+Q(t) mod p depends only on t mod p, so one p-byte pattern per leaf
+marks the t whose value can be a square mod p.  Where a pattern marks
+no t the leaf holds no square at all; otherwise the patterns are ANDed
+over windows of t, and only the t that survive every modulus are
+evaluated and square-tested exactly with isqrt.  Hits map back through
+the chain to a representation N = x^2 + y^2.  The scan keeps no rows:
+the difference tables in report.py are rendered from the covered range.
 """
 
 from __future__ import annotations
@@ -38,9 +51,6 @@ from .arith import InternalConsistencyError, check_magnitude
 
 #: quadratic coefficient of refinable branches (the residual's 25)
 _REFINABLE_GAMMA = 25
-
-#: refinement recursion depth cap beyond the initial split
-MAX_REFINE_DEPTH = 4
 
 #: the only squares mod 8; a value outside them is never a perfect square
 SQUARE_RESIDUES_MOD_8 = frozenset({0, 1, 4})
@@ -90,11 +100,7 @@ class Quadratic:
 class SubstitutionChain:
     """The affine map x = scale*t + offset from a branch variable back to
     x, plus the square divisor taken out of the residual (25 times a
-    power of 4).
-
-    The root map is x = 25*t + r; each refinement t = S*s + O composes
-    into it, and a composition of affine maps is one affine map.
-    """
+    power of 4)."""
 
     scale: int
     offset: int
@@ -111,7 +117,6 @@ class ScanBranch:
     quadratic: Quadratic
     chain: SubstitutionChain
     prune_reason: PruneReason | None
-    depth: int
 
     @property
     def scannable(self) -> bool:
@@ -152,99 +157,72 @@ def _prune_reason(m: int, beta: int, gamma: int) -> PruneReason | None:
     return PruneReason.OTHER_NON_RESIDUE
 
 
-_ROOT_CHILD_NAMES = {"e": "A", "e0": "A0", "e2": "A2", "o1": "B", "o3": "C"}
-
-
-def _child_name(parent: str, tag: str) -> str:
-    if parent == "Q":
-        return _ROOT_CHILD_NAMES[tag]
-    return f"{parent}.{tag}"
-
-
-def _child(branch: ScanBranch, scale: int, offset: int, tag: str) -> ScanBranch:
-    """Substitute t = scale*s + offset into the branch quadratic, then
-    divide it by 4 while all coefficients allow, folding each factor
-    into the chain's square divisor."""
-    q = branch.quadratic
-    m = q.m - q.beta * offset - q.gamma * offset * offset
-    beta = scale * (q.beta + 2 * q.gamma * offset)
-    gamma = scale * scale * q.gamma
-    outer = branch.chain
-    divisor = outer.divisor
-    while m % 4 == 0 and beta % 4 == 0 and gamma % 4 == 0:
-        m, beta, gamma = m // 4, beta // 4, gamma // 4
+def _branch(n: int, name: str, scale: int, offset: int) -> ScanBranch:
+    """The branch on x = scale*t + offset: Q(t) = (n - x^2)/divisor, the
+    divisor the largest 25*4^k that makes every coefficient whole."""
+    m, beta, gamma = n - offset * offset, 2 * scale * offset, scale * scale
+    divisor = 25
+    while m % (4 * divisor) == 0 and beta % (4 * divisor) == 0 and gamma % (4 * divisor) == 0:
         divisor *= 4
-    child = Quadratic(m, beta, gamma)
+    m, beta, gamma = m // divisor, beta // divisor, gamma // divisor
     return ScanBranch(
-        name=_child_name(branch.name, tag),
-        quadratic=child,
-        chain=SubstitutionChain(
-            scale=outer.scale * scale,
-            offset=outer.scale * offset + outer.offset,
-            divisor=divisor,
-        ),
+        name=name,
+        quadratic=Quadratic(m, beta, gamma),
+        chain=SubstitutionChain(scale, offset, divisor),
         prune_reason=_prune_reason(m % 8, beta % 8, gamma % 8),
-        depth=branch.depth + 1,
     )
 
 
 def initial_quadratic(n: int, r: int) -> ScanBranch:
-    """Root branch for n with mod-25 root r:
+    """Root branch for odd n with mod-25 root r:
     Q(t) = (n - r^2)/25 - 2r*t - 25*t^2, divisor 25, via x = 25*t + r.
 
     Signed t covers both root classes r and 25 - r.
     """
     check_magnitude(n)
+    if n % 2 == 0:
+        raise ValueError(f"{n} is even; the scan tree is built for odd N")
     if not 0 <= r < 25 or (n - r * r) % 25 != 0:
         raise ValueError(f"{r} is not a square root of {n} mod 25")
-    q = Quadratic(m=(n - r * r) // 25, beta=2 * r, gamma=25)
-    chain = SubstitutionChain(scale=25, offset=r, divisor=25)
-    return ScanBranch(
-        name="Q",
-        quadratic=q,
-        chain=chain,
-        prune_reason=_prune_reason(q.m % 8, q.beta % 8, q.gamma % 8),
-        depth=0,
-    )
+    return _branch(n, "Q", 25, r)
+
+
+_ROOT_CHILD_NAMES = {"e": "A", "e0": "A0", "e2": "A2", "o1": "B", "o3": "C"}
 
 
 def refine(branch: ScanBranch) -> list[ScanBranch]:
-    """Split a branch's t-domain into residue classes.
-
-    Children partition the parent domain exactly.  The even class is
-    divided by 4 when possible; otherwise it is split again into the
-    classes t = 0 and t = 2 (mod 4).  The odd classes t = 1 and
-    t = 3 (mod 4) are always emitted, each divided by 4 when possible.
-    """
-    even = _child(branch, 2, 0, "e")
-    if even.chain.divisor > branch.chain.divisor:
+    """Split a branch's t-domain into the residue classes that partition
+    it: the even class (kept when it divides through by 4, else split
+    into t = 0 and t = 2 mod 4), then t = 1 and t = 3 (mod 4).  N is read
+    back as m*divisor + offset^2, the closed form at t = 0."""
+    chain = branch.chain
+    s, o = chain.scale, chain.offset
+    n = branch.quadratic.m * chain.divisor + o * o
+    names = _ROOT_CHILD_NAMES if branch.name == "Q" else {
+        tag: f"{branch.name}.{tag}" for tag in _ROOT_CHILD_NAMES
+    }
+    even = _branch(n, names["e"], 2 * s, o)
+    if even.chain.divisor > chain.divisor:
         children = [even]
     else:
-        children = [_child(branch, 4, 0, "e0"), _child(branch, 4, 2, "e2")]
-    children.append(_child(branch, 4, 1, "o1"))
-    children.append(_child(branch, 4, -1, "o3"))
-    return children
+        children = [_branch(n, names["e0"], 4 * s, o), _branch(n, names["e2"], 4 * s, 2 * s + o)]
+    return children + [_branch(n, names["o1"], 4 * s, s + o), _branch(n, names["o3"], 4 * s, o - s)]
 
 
 def expand_branches(root: ScanBranch, *, respect_pruning: bool = True) -> list[ScanBranch]:
     """Refine the root into its leaf branches (depth-first order).
 
     A branch is refined while its quadratic coefficient is still 25
-    (the residual scale, where parity splits keep paying off) and the
-    depth cap allows; everything else is a leaf, pruned or scannable.
-    With respect_pruning=False, pruned status is ignored for the
-    refinement decision (used by the pruning-equivalence checks).
+    (the residual scale, where parity splits keep paying off);
+    everything else is a leaf, pruned or scannable.  With
+    respect_pruning=False, pruned status is ignored for the refinement
+    decision (used by the pruning-equivalence checks).
     """
     leaves: list[ScanBranch] = []
     stack = [root]
     while stack:
         br = stack.pop()
-        refinable = (
-            br.quadratic.gamma == _REFINABLE_GAMMA
-            and br.depth < MAX_REFINE_DEPTH
-            and (br.scannable or not respect_pruning)
-        )
-        if refinable:
+        if br.quadratic.gamma == _REFINABLE_GAMMA and (br.scannable or not respect_pruning):
             stack.extend(reversed(refine(br)))
         else:
             leaves.append(br)

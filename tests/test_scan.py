@@ -9,7 +9,6 @@ from twosquares.certify import decide
 from twosquares.classify import classify
 from twosquares.report import render_difference_table, render_scan_table
 from twosquares.scan import (
-    MAX_REFINE_DEPTH,
     SIEVE_MODULI,
     SIEVE_WINDOW,
     InternalConsistencyError,
@@ -65,6 +64,50 @@ def reference_prune_reason(q):
     return PruneReason.OTHER_NON_RESIDUE
 
 
+REFERENCE_ROOT_NAMES = {"e": "A", "e0": "A0", "e2": "A2", "o1": "B", "o3": "C"}
+
+
+def reference_child(branch, scale, offset, tag):
+    """The paper's substitution step: put t = scale*s + offset into the
+    parent quadratic, then divide by 4 while every coefficient allows,
+    folding each 4 into the chain's divisor."""
+    q, outer = branch.quadratic, branch.chain
+    m = q.m - q.beta * offset - q.gamma * offset * offset
+    beta = scale * (q.beta + 2 * q.gamma * offset)
+    gamma = scale * scale * q.gamma
+    divisor = outer.divisor
+    while m % 4 == 0 and beta % 4 == 0 and gamma % 4 == 0:
+        m, beta, gamma, divisor = m // 4, beta // 4, gamma // 4, divisor * 4
+    child = Quadratic(m, beta, gamma)
+    name = REFERENCE_ROOT_NAMES[tag] if branch.name == "Q" else f"{branch.name}.{tag}"
+    chain = SubstitutionChain(outer.scale * scale, outer.scale * offset + outer.offset, divisor)
+    return ScanBranch(name, child, chain, reference_prune_reason(child))
+
+
+def reference_refine(branch):
+    even = reference_child(branch, 2, 0, "e")
+    if even.chain.divisor > branch.chain.divisor:
+        children = [even]
+    else:
+        children = [reference_child(branch, 4, 0, "e0"), reference_child(branch, 4, 2, "e2")]
+    return children + [reference_child(branch, 4, 1, "o1"), reference_child(branch, 4, -1, "o3")]
+
+
+def reference_leaves(n, r, respect_pruning):
+    """Reference for expand_branches: the tree by substitution from
+    x = 25*t + r, depth-first, refining while gamma = 25."""
+    q = Quadratic((n - r * r) // 25, 2 * r, 25)
+    stack = [ScanBranch("Q", q, SubstitutionChain(25, r, 25), reference_prune_reason(q))]
+    leaves = []
+    while stack:
+        br = stack.pop()
+        if br.quadratic.gamma == 25 and (br.scannable or not respect_pruning):
+            stack.extend(reversed(reference_refine(br)))
+        else:
+            leaves.append(br)
+    return leaves
+
+
 def assert_scan_matches_reference(branch):
     hits, ts = scan_branch(branch)
     ref_hits, ref_ts = reference_scan(branch)
@@ -89,7 +132,6 @@ def synthetic(m, beta, gamma):
         quadratic=Quadratic(m, beta, gamma),
         chain=SubstitutionChain(25, 1, 25),
         prune_reason=None,
-        depth=0,
     )
 
 
@@ -391,31 +433,41 @@ def test_decide_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_depth_cap():
-    # a synthetic root that keeps reducing stays capped
-    q = Quadratic(25 * 4**6, 64, 25)
-    br = ScanBranch(
-        name="Q",
-        quadratic=q,
-        chain=SubstitutionChain(25, 1, 25),
-        prune_reason=None,
-        depth=0,
-    )
-    leaves = expand_branches(br)
-    assert all(leaf.depth <= MAX_REFINE_DEPTH for leaf in leaves)
-    assert any(
-        leaf.depth == MAX_REFINE_DEPTH and leaf.quadratic.gamma == 25
-        for leaf in leaves
-    )
-
-
 def test_real_inputs_never_hit_depth_cap():
+    # a leaf's depth below the root is 1 + the dots in its name (A.e0: 2)
     for n in range(9, 3000):
         e = classify(n)
         if not e.is_eligible or not e.roots_mod25:
             continue
         root = initial_quadratic(n, e.roots_mod25[0])
-        assert all(b.depth <= 2 for b in expand_branches(root))
+        assert all(b.name.count(".") <= 1 for b in expand_branches(root))
+
+
+@pytest.mark.parametrize("respect_pruning", [True, False])
+def test_tree_matches_the_substitution_reference(respect_pruning):
+    # every eligible class mod 400 at n < 809 and just below 2^63, both
+    # mod-25 roots: the closed-form tree equals the substituted one in
+    # every field, and has the finite shape the scan.py docstring states
+    small = [n for n in range(9, 809) if classify(n).is_eligible]
+    classes = {n % 400 for n in small}
+    assert len(classes) == 40
+    cap = 2**63 - 1
+    for n in small + [cap - (cap - c) % 400 for c in classes]:
+        e = classify(n)
+        assert e.is_eligible
+        for r in e.roots_mod25:
+            leaves = expand_branches(initial_quadratic(n, r), respect_pruning=respect_pruning)
+            assert leaves == reference_leaves(n, r, respect_pruning), (n, r)
+            assert sum(leaf.scannable for leaf in leaves) == 3, (n, r)
+            assert len(leaves) in (4, 6), (n, r)
+
+
+def test_initial_quadratic_rejects_even_n():
+    # the recursion ends only because N is odd: at N = 0 every branch
+    # would divide through to gamma = 25 again
+    for n in (0, 100, 1000000):
+        with pytest.raises(ValueError, match="even"):
+            initial_quadratic(n, 0)
 
 
 def test_sieve_matches_reference_scan_on_every_leaf():

@@ -25,10 +25,9 @@ class EligibilityStatus(Enum):
 
 
 # roots[res] = sorted tuple of r in [0, 25) with r*r = res (mod 25)
-_MOD25_ROOTS: dict[int, tuple[int, ...]] = {res: () for res in range(25)}
-for _r in range(25):
-    _res = _r * _r % 25
-    _MOD25_ROOTS[_res] = tuple(sorted(set(_MOD25_ROOTS[_res]) | {_r}))
+_MOD25_ROOTS: dict[int, tuple[int, ...]] = {
+    res: tuple(r for r in range(25) if r * r % 25 == res) for res in range(25)
+}
 
 
 def mod25_sqrt(res: int) -> tuple[int, ...]:

@@ -17,10 +17,11 @@ canonical one pairs the even members as (a, c) and the odd ones as
 parities, making all of k, l, m, n odd.  witness_violation() names the
 first identity a witness fails; recovery and certify.verify end with it.
 
-A second, independent route forms the transposed products
-(a - d)(a + d) = (c - b)(c + b) from rep1 = (a, b), rep2 = (c, d),
-reduces (a + d)/(c + b) to lowest terms p/q, and extracts
-gcd(N, p^2 + q^2) as a nontrivial divisor.
+A second, independent route, gcd_fraction_factor, forms the transposed
+products (a - d)(a + d) = (c - b)(c + b) from rep1 = (a, b),
+rep2 = (c, d), reduces (a + d)/(c + b) to lowest terms p/q, and extracts
+gcd(N, p^2 + q^2) as a nontrivial divisor.  decide does not run it:
+witness_violation already checks f1 * f2 = N with 1 < f1 <= f2 < N.
 """
 
 from __future__ import annotations
@@ -145,11 +146,6 @@ def gcd_fraction_factor(number: int, rep1: Representation, rep2: Representation)
     """Nontrivial divisor of number via the reduced transposed fraction
     p/q: the divisor is gcd(number, p^2 + q^2)."""
     _validate_pair(number, rep1, rep2)
-    return _gcd_divisor(number, rep1, rep2)
-
-
-def _gcd_divisor(number: int, rep1: Representation, rep2: Representation) -> int:
-    """gcd_fraction_factor on a pair already validated."""
     p, q = transposed_fraction(rep1, rep2)
     g = gcd(number, p * p + q * q)
     if g in (1, number):
@@ -166,13 +162,5 @@ def select_pair(reps: list[Representation]) -> tuple[Representation, Representat
 
 
 def factor_with_witness(number: int, reps: list[Representation]) -> TwoRepWitness:
-    """Factor number from its two smallest representations; the gcd
-    route must also find a nontrivial divisor, though not the same split
-    (4329 = 13*333 = 37*117 with three or more prime factors)."""
-    rep1, rep2 = select_pair(reps)
-    witness = klmn_factor(number, rep1, rep2)
-    try:
-        _gcd_divisor(number, rep1, rep2)
-    except ValueError as exc:
-        raise InternalConsistencyError(f"gcd route failed on {number}: {exc}") from exc
-    return witness
+    """Factor number from its two smallest representations."""
+    return klmn_factor(number, *select_pair(reps))

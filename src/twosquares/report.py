@@ -16,39 +16,35 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import chain, pairwise
+from itertools import pairwise
 
 from .certify import Certificate
 from .classify import Eligibility
-from .scan import ScanBranch, ScanHit
+from .scan import Quadratic, ScanBranch, ScanHit
 
 
-def _sides(branch: ScanBranch, ts: range) -> tuple[int, range, range]:
-    """(t0, near, far) of a nonempty range ts: the head t, and each
-    side's t going outward from it.
+def _vertex(q: Quadratic) -> int:
+    """The integer t where Q is largest, next to the vertex -beta/(2*gamma)."""
+    lo = -q.beta // (2 * q.gamma)
+    return max((lo, lo + 1), key=q.value_at)
+
+
+def _sides(branch: ScanBranch, ts: range) -> tuple[tuple[str, range], tuple[str, range]]:
+    """The near and far sides of a nonempty range ts as (column label,
+    range of t): each side starts at the head t, includes it and goes
+    outward.
 
     The head is t = 0 when Q(0) >= 0 (matching the hand tables), else
-    the integer nearest the vertex -beta/(2*gamma) with the larger
-    value.  The near side is the direction where the linear term works
-    against the quadratic, so subtrahends grow more slowly (negative t
-    when beta > 0, positive t otherwise).
+    the vertex.  The near side is the direction where the linear term
+    works against the quadratic, so subtrahends grow more slowly
+    (negative t when beta > 0, positive t otherwise).
     """
     q = branch.quadratic
-    t0 = 0
-    if 0 not in ts:
-        lo = -q.beta // (2 * q.gamma)
-        t0 = max((lo, lo + 1), key=q.value_at)
-    plus = range(t0 + 1, ts.stop)
-    minus = range(t0 - 1, ts.start - 1, -1)
-    return (t0, minus, plus) if q.beta > 0 else (t0, plus, minus)
-
-
-def _side_labels(branch: ScanBranch) -> tuple[str, str]:
-    """The near and far sides' column labels."""
-    g, b = branch.quadratic.gamma, branch.quadratic.beta
-    if b == 0:
-        return f"{g}c^2", f"{g}c^2"
-    return f"{g}c^2-{abs(b)}c", f"{g}c^2+{abs(b)}c"
+    t0 = 0 if 0 in ts else _vertex(q)
+    g, b = q.gamma, abs(q.beta)
+    near, far = (f"{g}c^2-{b}c", f"{g}c^2+{b}c") if b else (f"{g}c^2",) * 2
+    up, down = range(t0, ts.stop), range(t0, ts.start - 1, -1)
+    return ((near, down), (far, up)) if q.beta > 0 else ((near, up), (far, down))
 
 
 def render_difference_table(branch: ScanBranch, ts: range) -> str:
@@ -60,12 +56,12 @@ def render_difference_table(branch: ScanBranch, ts: range) -> str:
     if not ts:
         return title + "\n  (no rows)\n"
     q = branch.quadratic
-    t0, near, far = _sides(branch, ts)
-    depth = max(len(near), len(far))
+    sides = _sides(branch, ts)
+    depth = max(len(side) for _, side in sides)
     # one list of cells per column, header first; a short side pads with ""
-    columns = [["c", *map(str, range(depth + 1))]]
-    for label, side in zip(_side_labels(branch), (near, far)):
-        values = list(map(q.value_at, chain((t0,), side)))
+    columns = [["c", *map(str, range(depth))]]
+    for label, side in sides:
+        values = list(map(q.value_at, side))
         pad = [""] * (depth - len(side))
         columns.append([label, *(str(q.m - v) for v in values), *pad])
         columns.append(["diff", "", *(str(a - b) for a, b in pairwise(values)), *pad])
@@ -83,21 +79,18 @@ def render_scan_table(branch: ScanBranch, ts: range, hits: list[ScanHit]) -> str
     if not ts:
         return title + "\n  (no rows)\n"
     q = branch.quadratic
-    t0, near, far = _sides(branch, ts)
     hit_ts = {h.t for h in hits}
-    # every value on ts is >= 0, so the largest is the widest
-    width = len(str(max(map(q.value_at, ts))))
-
-    def value_line(t: int, value: int) -> str:
-        return ("* " if t in hit_ts else "  ") + str(value).rjust(width)
-
+    # ts is exactly where Q >= 0, so it holds the vertex, the widest value
+    width = len(str(q.value_at(_vertex(q))))
     lines = [title]
-    for label, side in zip(_side_labels(branch), (near, far)):
-        prev = q.value_at(t0)
-        lines += [f"side {label}:", value_line(t0, prev)]
+    for label, side in _sides(branch, ts):
+        lines.append(f"side {label}:")
+        prev = None
         for t in side:
             value = q.value_at(t)
-            lines += ["  " + str(prev - value).rjust(width), value_line(t, value)]
+            if prev is not None:
+                lines.append("  " + str(prev - value).rjust(width))
+            lines.append(("* " if t in hit_ts else "  ") + str(value).rjust(width))
             prev = value
     return "\n".join(lines) + "\n"
 

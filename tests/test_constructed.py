@@ -1,0 +1,130 @@
+"""decide across its claimed range, on N built from known primes.
+
+Criteria 5-7 compare the scan with the brute-force oracle only up to
+10^5.  Above that no oracle is needed when N is a product of chosen
+primes: with p = 1 and q = 3 (mod 4), N has no representation if some q
+has an odd exponent, and otherwise ceil(prod(e + 1) / 2) of them over
+the p^e.  A decide that returns that many distinct, valid
+representations has found them all.
+
+check() is a plain function so that it also runs near the 2^63 - 1 cap,
+where it is too slow for the tier-1 suite:
+
+    PYTHONPATH=src:tests python -c 'import test_constructed as t; t.check(range(17, 20), 1)'
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from math import isqrt, prod
+
+from twosquares import Verdict, classify, decide
+
+CAP = 2**63
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# each factor is (class mod 4, exponent), drawn at random, or a fixed
+# prime; the last factor's size puts N at the requested digit count
+SHAPES = {
+    "p": ((1, 1),),
+    "p p'": ((1, 1), (1, 1)),
+    "p^2": ((1, 2),),
+    "q^2 p": ((3, 2), (1, 1)),
+    "3 q": (3, (3, 1)),
+    "q q'": ((3, 1), (3, 1)),
+}
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin on the first 12 prime bases: exact below 3.3 * 10**24."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(rng: random.Random, lo: int, hi: int, residue: int) -> int:
+    """A random prime in [lo, hi) that is residue mod 4."""
+    while True:
+        x = rng.randrange(lo, hi)
+        if x % 4 == residue and is_prime(x):
+            return x
+
+
+def _draw(rng: random.Random, shape: str, digits: int) -> Counter:
+    """The factorization {prime: exponent} of a random N of the shape
+    with the given number of digits."""
+    *head, (residue, e) = SHAPES[shape]
+    factors: Counter = Counter()
+    for factor in head:
+        if isinstance(factor, int):
+            factors[factor] += 1
+        else:
+            # at most (digits - 2) / e digits leave the last factor two
+            r, fe = factor
+            k = rng.randrange(1, (digits - 2) // fe + 1)
+            factors[_prime(rng, 10 ** (k - 1), 10**k, r)] += fe
+    lead = prod(p**x for p, x in factors.items())
+    lo, hi = (10 ** (digits - 1) + lead - 1) // lead, (10**digits + lead - 1) // lead
+    if e == 2:
+        lo, hi = isqrt(lo - 1) + 1, isqrt(hi - 1) + 1
+    factors[_prime(rng, lo, hi, residue)] += e
+    return factors
+
+
+def expected_count(factors: Counter) -> int:
+    """The number of representations a^2 + b^2 = N, a >= b >= 0."""
+    if any(p % 4 == 3 and e % 2 for p, e in factors.items()):
+        return 0
+    return -(-prod(e + 1 for p, e in factors.items() if p % 4 == 1) // 2)
+
+
+def check(digits, per_shape: int) -> int:
+    """decide per_shape eligible N below the cap for each digit count and
+    shape; assert its representations and verdict.  Returns the number
+    of N checked."""
+    checked = 0
+    for d in digits:
+        for shape in SHAPES:
+            rng = random.Random(f"{d} {shape}")
+            found = 0
+            while found < per_shape:
+                factors = _draw(rng, shape, d)
+                n = prod(p**e for p, e in factors.items())
+                # classify raises above the cap
+                if n >= CAP or not classify(n).is_eligible:
+                    continue
+                found += 1
+                cert = decide(n)
+                where = f"N = {n} = {dict(factors)} ({shape})"
+                reps = {(r.a, r.b) for r in cert.representations}
+                assert len(reps) == len(cert.representations) == expected_count(factors), where
+                assert all(a >= b >= 0 and a * a + b * b == n for a, b in reps), where
+                assert (cert.verdict is Verdict.PRIME) == (shape == "p"), where
+                if cert.factors is not None:
+                    f1, f2 = cert.factors
+                    assert f1 * f2 == n and 1 < f1 <= f2 < n, where
+            checked += found
+    return checked
+
+
+def test_decide_on_n_built_from_known_primes():
+    assert check(range(7, 17), 3) == 10 * len(SHAPES) * 3

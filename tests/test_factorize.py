@@ -85,15 +85,17 @@ def test_routes_can_disagree_on_split_but_stay_consistent():
     g = gcd_fraction_factor(4329, r1, r2)
     assert w.f1 * w.f2 == 4329
     assert 4329 % g == 0 and 1 < g < 4329
-    split = factor_with_witness(4329, reps)  # the cross-check holds
+    split = factor_with_witness(4329, reps)
     assert split.f1 * split.f2 == 4329
 
 
 def test_failed_gcd_route_is_an_internal_error(monkeypatch):
-    # p/q = 1/1 gives gcd(N, 2) = 1 for odd N: a trivial divisor
+    # p/q = 1/1 gives gcd(N, 2) = 1 for odd N: a trivial divisor, which
+    # the public route refuses; decide does not run it
     monkeypatch.setattr(factorize, "transposed_fraction", lambda rep1, rep2: (1, 1))
-    with pytest.raises(InternalConsistencyError, match="gcd route failed on 1000009"):
-        factor_with_witness(1000009, list(R1000009))
+    with pytest.raises(ValueError, match="degenerate divisor 1 from representations of 1000009"):
+        gcd_fraction_factor(1000009, *R1000009)
+    assert factor_with_witness(1000009, list(R1000009)).f1 == 293
 
 
 def test_recovery_ends_with_the_witness_check(monkeypatch):

@@ -184,8 +184,9 @@ def _witness_from_json(doc) -> TwoRepWitness:
 def certificate_from_json(text: str) -> Certificate:
     """Parse a certificate document; CertificateError on malformed input."""
     try:
+        # ValueError covers JSONDecodeError and an int past int()'s digit limit
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CertificateError(f"not valid JSON: {exc}") from exc
     expected = {"n", "verdict", "representations", "factors", "witness", "notes",
                 "method_version"}

@@ -14,8 +14,6 @@ All output is plain decimal, LF line endings, locale-independent.
 
 from __future__ import annotations
 
-import csv
-import io
 from itertools import pairwise
 
 from .certify import Certificate
@@ -101,7 +99,7 @@ def render_tree(elig: Eligibility, walk: tuple) -> str:
     root, leaves, reps = walk
     if root is None:
         return f"n = {n} is not eligible ({elig.status.value}); nothing to scan\n"
-    blocks = [f"n = {n}, substitution x = 25 t + {elig.roots_mod25[0]}", root.describe(), ""]
+    blocks = [f"n = {n}, substitution x = {root.scale} t + {root.offset}", root.describe(), ""]
     for leaf, scanned in leaves:
         if scanned is None:
             blocks.append(leaf.describe())
@@ -120,10 +118,8 @@ def render_tree(elig: Eligibility, walk: tuple) -> str:
 def sweep_csv(certs: list[Certificate]) -> str:
     """One CSV row per certificate: n, verdict, representation count and
     the factor pair (blank when absent).  Rows sorted by n."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "verdict", "rep_count", "factor1", "factor2"])
+    lines = ["n,verdict,rep_count,factor1,factor2\n"]
     for cert in sorted(certs, key=lambda c: c.n):
-        f1, f2 = cert.factors if cert.factors else ("", "")
-        writer.writerow([cert.n, cert.verdict.value, len(cert.representations), f1, f2])
-    return buf.getvalue()
+        f1, f2 = cert.factors or ("", "")
+        lines.append(f"{cert.n},{cert.verdict.value},{len(cert.representations)},{f1},{f2}\n")
+    return "".join(lines)

@@ -35,9 +35,10 @@ Q(t) mod p depends only on t mod p, so one p-byte pattern per leaf
 marks the t whose value can be a square mod p.  Where a pattern marks
 no t the leaf holds no square at all; otherwise the patterns are ANDed
 over windows of t, and only the t that survive every modulus are
-evaluated and square-tested exactly with isqrt.  Hits map back through
-the chain to a representation N = x^2 + y^2.  The scan keeps no rows:
-the difference tables in report.py are rendered from the covered range.
+evaluated and square-tested exactly with isqrt.  A hit at t gives the
+representation N = x^2 + y^2 with x = scale*t + offset.  The scan keeps
+no rows: the difference tables in report.py are rendered from the
+covered range.
 """
 
 from __future__ import annotations
@@ -97,25 +98,12 @@ class Quadratic:
 
 
 @dataclass(frozen=True)
-class SubstitutionChain:
-    """The affine map x = scale*t + offset from a branch variable back to
-    x, plus the square divisor taken out of the residual (25 times a
-    power of 4)."""
-
-    scale: int
-    offset: int
-    divisor: int
-
-    def apply(self, t: int) -> int:
-        """Map an inner-variable value to the (signed) outer x."""
-        return self.scale * t + self.offset
-
-
-@dataclass(frozen=True)
 class ScanBranch:
     name: str
     quadratic: Quadratic
-    chain: SubstitutionChain
+    scale: int
+    offset: int
+    divisor: int
     prune_reason: PruneReason | None
 
     @property
@@ -168,7 +156,9 @@ def _branch(n: int, name: str, scale: int, offset: int) -> ScanBranch:
     return ScanBranch(
         name=name,
         quadratic=Quadratic(m, beta, gamma),
-        chain=SubstitutionChain(scale, offset, divisor),
+        scale=scale,
+        offset=offset,
+        divisor=divisor,
         prune_reason=_prune_reason(m % 8, beta % 8, gamma % 8),
     )
 
@@ -195,14 +185,13 @@ def refine(branch: ScanBranch) -> list[ScanBranch]:
     it: the even class (kept when it divides through by 4, else split
     into t = 0 and t = 2 mod 4), then t = 1 and t = 3 (mod 4).  N is read
     back as m*divisor + offset^2, the closed form at t = 0."""
-    chain = branch.chain
-    s, o = chain.scale, chain.offset
-    n = branch.quadratic.m * chain.divisor + o * o
+    s, o = branch.scale, branch.offset
+    n = branch.quadratic.m * branch.divisor + o * o
     names = _ROOT_CHILD_NAMES if branch.name == "Q" else {
         tag: f"{branch.name}.{tag}" for tag in _ROOT_CHILD_NAMES
     }
     even = _branch(n, names["e"], 2 * s, o)
-    if even.chain.divisor > chain.divisor:
+    if even.divisor > branch.divisor:
         children = [even]
     else:
         children = [_branch(n, names["e0"], 4 * s, o), _branch(n, names["e2"], 4 * s, 2 * s + o)]
@@ -296,11 +285,11 @@ def scan_branch(branch: ScanBranch) -> tuple[list[ScanHit], range]:
 def recover_xy(hit: ScanHit, n: int) -> tuple[int, int]:
     """Map a scan hit back to the representation n = x^2 + y^2
     (y the member divisible by 5)."""
-    chain = hit.branch.chain
-    x = abs(chain.apply(hit.t))
-    y = math.isqrt(chain.divisor) * hit.root
+    branch = hit.branch
+    x = abs(branch.scale * hit.t + branch.offset)
+    y = math.isqrt(branch.divisor) * hit.root
     if x * x + y * y != n:
         raise InternalConsistencyError(
-            f"hit at t={hit.t} on branch {hit.branch.name} does not reconstruct {n}"
+            f"hit at t={hit.t} on branch {branch.name} does not reconstruct {n}"
         )
     return x, y

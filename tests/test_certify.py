@@ -254,6 +254,8 @@ def test_parse_rejects_malformed():
         certificate_from_json("not json")
     with pytest.raises(CertificateError):
         certificate_from_json("{}")
+    with pytest.raises(CertificateError):
+        certificate_from_json('{"n": ' + "1" * 5000 + "}")  # past int()'s digit limit
     good = certificate_to_json(decide(1000009))
     doc = json.loads(good)
     doc["extra"] = 1

@@ -110,8 +110,9 @@ def test_verify_rejects_non_canonical_bytes(capsys, tmp_path):
 def test_verify_malformed_exits_two(capsys, tmp_path):
     path = tmp_path / "junk.json"
     # bad JSON, bytes that are not UTF-8, nesting deeper than the decoder's
-    # recursion limit
-    for content in (b"{ nope", b"\xff\xfe not utf-8", b"[" * 200000):
+    # recursion limit, an integer literal past int()'s digit limit
+    too_long = b'{"n": ' + b"1" * 5000 + b"}"
+    for content in (b"{ nope", b"\xff\xfe not utf-8", b"[" * 200000, too_long):
         path.write_bytes(content)
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2, content[:10]

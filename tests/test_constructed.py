@@ -69,6 +69,14 @@ def _prime(rng: random.Random, lo: int, hi: int, residue: int) -> int:
             return x
 
 
+def _prime_mod_400(rng: random.Random, lo: int, hi: int, c: int) -> int:
+    """A random prime in [lo, hi) that is c mod 400."""
+    while True:
+        x = 400 * rng.randrange(-(-(lo - c) // 400), -(-(hi - c) // 400)) + c
+        if is_prime(x):
+            return x
+
+
 def _draw(rng: random.Random, shape: str, digits: int) -> Counter:
     """The factorization {prime: exponent} of a random N of the shape
     with the given number of digits."""
@@ -128,3 +136,25 @@ def check(digits, per_shape: int) -> int:
 
 def test_decide_on_n_built_from_known_primes():
     assert check(range(7, 17), 3) == 10 * len(SHAPES) * 3
+
+
+def test_decide_in_every_eligible_class_mod_400():
+    # the scan tree depends only on N mod 400: in each of the 40 eligible
+    # classes, a prime p and a product q*r with q = 1 and r = p (mod 400)
+    classes = [c for c in range(400) if classify(c + 400).is_eligible]
+    assert len(classes) == 40
+    for digits in (9, 13):
+        rng = random.Random(f"mod 400 {digits}")
+        lo, hi = 10 ** (digits - 1), 10**digits
+        for c in classes:
+            p = _prime_mod_400(rng, lo, hi, c)
+            cert = decide(p)
+            assert cert.verdict is Verdict.PRIME and len(cert.representations) == 1, p
+            # q < 10^(digits // 2) < r, so the pair is (q, r)
+            q = _prime_mod_400(rng, 1000, 10 ** (digits // 2), 1)
+            r = _prime_mod_400(rng, -(-lo // q), -(-hi // q), c)
+            n = q * r
+            assert lo <= n < hi and n % 400 == c
+            cert = decide(n)
+            assert cert.verdict is Verdict.COMPOSITE_WITH_FACTORS, (q, r)
+            assert len(cert.representations) == 2 and cert.factors == (q, r), (q, r)

@@ -7,7 +7,6 @@ from twosquares.report import render_difference_table, render_scan_table, sweep_
 from twosquares.scan import (
     Quadratic,
     ScanBranch,
-    SubstitutionChain,
     expand_branches,
     initial_quadratic,
     scan_branch,
@@ -117,7 +116,7 @@ EDGE_LEAVES = [(2500, 0, 100), (-10, -200, 25), (9894, 412, 400), (0, 0, 25), (-
 def edge_layouts():
     blocks = []
     for m, beta, gamma in EDGE_LEAVES:
-        leaf = ScanBranch("edge", Quadratic(m, beta, gamma), SubstitutionChain(1, 0, 1), None)
+        leaf = ScanBranch("edge", Quadratic(m, beta, gamma), 1, 0, 1, None)
         hits, ts = scan_branch(leaf)
         blocks.append(render_difference_table(leaf, ts) + "\n" + render_scan_table(leaf, ts, hits))
     return "\n".join(blocks)

@@ -16,7 +16,6 @@ from twosquares.scan import (
     Quadratic,
     ScanBranch,
     ScanHit,
-    SubstitutionChain,
     expand_branches,
     initial_quadratic,
     recover_xy,
@@ -70,23 +69,23 @@ REFERENCE_ROOT_NAMES = {"e": "A", "e0": "A0", "e2": "A2", "o1": "B", "o3": "C"}
 def reference_child(branch, scale, offset, tag):
     """The paper's substitution step: put t = scale*s + offset into the
     parent quadratic, then divide by 4 while every coefficient allows,
-    folding each 4 into the chain's divisor."""
-    q, outer = branch.quadratic, branch.chain
+    folding each 4 into the divisor."""
+    q = branch.quadratic
     m = q.m - q.beta * offset - q.gamma * offset * offset
     beta = scale * (q.beta + 2 * q.gamma * offset)
     gamma = scale * scale * q.gamma
-    divisor = outer.divisor
+    divisor = branch.divisor
     while m % 4 == 0 and beta % 4 == 0 and gamma % 4 == 0:
         m, beta, gamma, divisor = m // 4, beta // 4, gamma // 4, divisor * 4
     child = Quadratic(m, beta, gamma)
     name = REFERENCE_ROOT_NAMES[tag] if branch.name == "Q" else f"{branch.name}.{tag}"
-    chain = SubstitutionChain(outer.scale * scale, outer.scale * offset + outer.offset, divisor)
-    return ScanBranch(name, child, chain, reference_prune_reason(child))
+    x_scale, x_offset = branch.scale * scale, branch.scale * offset + branch.offset
+    return ScanBranch(name, child, x_scale, x_offset, divisor, reference_prune_reason(child))
 
 
 def reference_refine(branch):
     even = reference_child(branch, 2, 0, "e")
-    if even.chain.divisor > branch.chain.divisor:
+    if even.divisor > branch.divisor:
         children = [even]
     else:
         children = [reference_child(branch, 4, 0, "e0"), reference_child(branch, 4, 2, "e2")]
@@ -97,7 +96,7 @@ def reference_leaves(n, r, respect_pruning):
     """Reference for expand_branches: the tree by substitution from
     x = 25*t + r, depth-first, refining while gamma = 25."""
     q = Quadratic((n - r * r) // 25, 2 * r, 25)
-    stack = [ScanBranch("Q", q, SubstitutionChain(25, r, 25), reference_prune_reason(q))]
+    stack = [ScanBranch("Q", q, 25, r, 25, reference_prune_reason(q))]
     leaves = []
     while stack:
         br = stack.pop()
@@ -130,7 +129,9 @@ def synthetic(m, beta, gamma):
     return ScanBranch(
         name="synthetic",
         quadratic=Quadratic(m, beta, gamma),
-        chain=SubstitutionChain(25, 1, 25),
+        scale=25,
+        offset=1,
+        divisor=25,
         prune_reason=None,
     )
 
@@ -143,8 +144,8 @@ def leaves_of(n):
 def test_initial_quadratic_worked_composite():
     br = initial_quadratic(1000009, 3)
     assert br.quadratic == Quadratic(40000, 6, 25)
-    assert br.chain.divisor == 25
-    assert br.chain.apply(-39) == -972
+    assert br.divisor == 25
+    assert br.scale * -39 + br.offset == -972
 
 
 def test_initial_quadratic_worked_prime():
@@ -155,7 +156,7 @@ def test_initial_quadratic_worked_prime():
 def test_initial_quadratic_small():
     br = initial_quadratic(21, 11)
     assert br.quadratic == Quadratic(-4, 22, 25)
-    assert br.chain.divisor == 25
+    assert br.divisor == 25
 
 
 def test_initial_quadratic_rejects_bad_root():
@@ -166,7 +167,7 @@ def test_initial_quadratic_rejects_bad_root():
 def test_refine_worked_composite():
     children = {b.name: b for b in refine(initial_quadratic(1000009, 3))}
     assert children["A"].quadratic == Quadratic(10000, 3, 25)
-    assert children["A"].chain.divisor == 100
+    assert children["A"].divisor == 100
     assert children["B"].quadratic == Quadratic(39969, 224, 400)
     assert children["B"].scannable
     assert children["C"].quadratic == Quadratic(39981, -176, 400)
@@ -186,9 +187,9 @@ def test_refine_second_level_composite():
     # children of A for 1000009: the four sub-branches
     lv = leaves_of(1000009)
     assert lv["A.e0"].quadratic == Quadratic(2500, 3, 100)
-    assert lv["A.e0"].chain.divisor == 400
+    assert lv["A.e0"].divisor == 400
     assert lv["A.o1"].quadratic == Quadratic(2493, 53, 100)
-    assert lv["A.o1"].chain.divisor == 400
+    assert lv["A.o1"].divisor == 400
     assert lv["A.o3"].quadratic == Quadratic(9978, -188, 400)
     assert lv["A.o3"].prune_reason is PruneReason.ODDLY_EVEN
     assert lv["A.e2"].prune_reason is PruneReason.ODDLY_EVEN
@@ -210,9 +211,9 @@ def test_domains_partition_parent():
         root = initial_quadratic(n, e.roots_mod25[0])
         children = refine(root)
         for t in range(-20, 21):
-            x = root.chain.apply(t)
+            x = root.scale * t + root.offset
             owners = sum(
-                (x - child.chain.offset) % child.chain.scale == 0 for child in children
+                (x - child.offset) % child.scale == 0 for child in children
             )
             assert owners == 1, (n, t)
 
@@ -221,7 +222,7 @@ def test_divisor_always_square():
     for n in (1000009, 1000081, 21, 29, 81, 169):
         root = initial_quadratic(n, classify(n).roots_mod25[0])
         for leaf in expand_branches(root):
-            d = leaf.chain.divisor
+            d = leaf.divisor
             assert math.isqrt(d) ** 2 == d
             while d % 4 == 0:
                 d //= 4
@@ -367,7 +368,7 @@ def test_recover_xy_worked_composite():
 def test_recover_xy_worked_prime():
     lv = leaves_of(1000081)
     hits, _ = scan_branch(lv["A.e0"])
-    assert lv["A.e0"].chain.divisor == 400
+    assert lv["A.e0"].divisor == 400
     assert recover_xy(hits[0], 1000081) == (9, 1000)
 
 

@@ -24,7 +24,7 @@ N = 1000009
 # --- eligibility and the mod-25 seed -------------------------------------
 elig = classify(N)
 print(f"N = {N}: {elig.status.value}")
-print(f"N mod 25 = {elig.n_mod25}, square roots mod 25: {elig.roots_mod25}")
+print(f"N mod 25 = {N % 25}, square roots mod 25: {elig.roots_mod25}")
 print()
 
 # --- branch construction ---------------------------------------------------

@@ -4,7 +4,7 @@ The scan applies to N = 1 (mod 4) whose last decimal digit is 1 or 9.
 For such N any representation N = x^2 + y^2 has exactly one member
 divisible by 5 (hence its square by 25), so the other member x must
 satisfy x^2 = N (mod 25).  The square roots of N mod 25 seed the scan's
-substitution x = 25*t + r.
+substitution x = 25*t + r.  eligible_range applies the same rule to a range.
 """
 
 from __future__ import annotations
@@ -30,26 +30,13 @@ _MOD25_ROOTS: dict[int, tuple[int, ...]] = {
 }
 
 
-def mod25_sqrt(res: int) -> tuple[int, ...]:
-    """All r in [0, 25) with r*r = res (mod 25), sorted ascending.
-
-    For res coprime to 5 the result has size 0 or 2 (the pair {r, 25-r}).
-    """
-    if not 0 <= res < 25:
-        raise ValueError(f"residue out of range: {res}")
-    return _MOD25_ROOTS[res]
-
-
 @dataclass(frozen=True)
 class Eligibility:
     """Classification of a candidate N, plus the mod-25 scan seeds."""
 
     n: int
     status: EligibilityStatus
-    n_mod4: int
-    last_digit: int
-    n_mod25: int
-    roots_mod25: tuple[int, ...]
+    roots_mod25: tuple[int, ...] = ()
 
     @property
     def is_eligible(self) -> bool:
@@ -65,23 +52,15 @@ def classify(n: int) -> Eligibility:
     Ineligible n get no roots.
     """
     check_magnitude(n)
-    n_mod4 = n % 4
-    last_digit = n % 10
-    n_mod25 = n % 25
     if n < MIN_ELIGIBLE:
-        status = EligibilityStatus.INELIGIBLE_TOO_SMALL
-    elif n_mod4 != 1:
-        status = EligibilityStatus.INELIGIBLE_MOD4
-    elif last_digit not in (1, 9):
-        status = EligibilityStatus.INELIGIBLE_LAST_DIGIT
-    else:
-        status = EligibilityStatus.ELIGIBLE
-    roots = mod25_sqrt(n_mod25) if status is EligibilityStatus.ELIGIBLE else ()
-    return Eligibility(
-        n=n,
-        status=status,
-        n_mod4=n_mod4,
-        last_digit=last_digit,
-        n_mod25=n_mod25,
-        roots_mod25=roots,
-    )
+        return Eligibility(n, EligibilityStatus.INELIGIBLE_TOO_SMALL)
+    if n % 4 != 1:
+        return Eligibility(n, EligibilityStatus.INELIGIBLE_MOD4)
+    if n % 10 not in (1, 9):
+        return Eligibility(n, EligibilityStatus.INELIGIBLE_LAST_DIGIT)
+    return Eligibility(n, EligibilityStatus.ELIGIBLE, _MOD25_ROOTS[n % 25])
+
+
+def eligible_range(lo: int, hi: int) -> list[int]:
+    # n = 1 (mod 4) with last digit 1 or 9 is exactly n = 1 or 9 (mod 20)
+    return [n for n in range(max(lo, MIN_ELIGIBLE), hi + 1) if n % 20 in (1, 9)]

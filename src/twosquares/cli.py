@@ -3,9 +3,11 @@
 Exit codes: verdicts are data, never failures (prove exits 0 for any
 verdict); 1 means a certificate failed verification or is not spelled
 byte for byte as prove writes it; 2 means bad input (unparseable
-number, out-of-range value, malformed or undecodable document) or an
---out file that cannot be written.  prove takes its certificate, and
-with --emit-tables its tables, from one walk of the scan tree.
+number, out-of-range value, malformed or undecodable document), an
+--out file that cannot be written, or tables (scan, prove --emit-tables)
+of more than MAX_TABLE_ROWS = 10**6 rows, which are refused before
+anything is written.  prove takes its certificate, and with
+--emit-tables its tables, from one walk of the scan tree.
 """
 
 from __future__ import annotations
@@ -26,9 +28,13 @@ from .certify import (
     decide,
     verify,
 )
-from .classify import MIN_ELIGIBLE, classify
+from .classify import Eligibility, classify, eligible_range
 from .report import render_tree, sweep_csv
 from .represent import scan_tree
+
+# scan and prove --emit-tables refuse longer tables: each row holds
+# hundreds of bytes of text until the whole document is written
+MAX_TABLE_ROWS = 10**6
 
 
 def _natural(text: str) -> int:
@@ -65,7 +71,7 @@ def _eligibility_text(n: int) -> str:
     lines = [
         f"n = {n}",
         f"status: {elig.status.value}",
-        f"n mod 4 = {elig.n_mod4}, last digit = {elig.last_digit}, n mod 25 = {elig.n_mod25}",
+        f"n mod 4 = {n % 4}, last digit = {n % 10}, n mod 25 = {n % 25}",
     ]
     if elig.is_eligible:
         roots = "/".join(str(r) for r in elig.roots_mod25)
@@ -78,9 +84,9 @@ def _eligibility_json(n: int) -> str:
     doc = {
         "n": str(n),
         "status": elig.status.value,
-        "n_mod4": str(elig.n_mod4),
-        "last_digit": str(elig.last_digit),
-        "n_mod25": str(elig.n_mod25),
+        "n_mod4": str(n % 4),
+        "last_digit": str(n % 10),
+        "n_mod25": str(n % 25),
         "roots_mod25": [str(r) for r in elig.roots_mod25],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -110,36 +116,45 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _tables(elig: Eligibility, walk: tuple) -> str | None:
+    """render_tree's text, or None after an error on stderr when the
+    walk's scanned leaves hold more than MAX_TABLE_ROWS rows."""
+    rows = sum(len(scanned[1]) for _, scanned in walk[1] if scanned)
+    if rows > MAX_TABLE_ROWS:
+        limit = f"the limit of {MAX_TABLE_ROWS:,} rows"
+        print(f"error: the tables for {elig.n} have {rows:,} rows, past {limit}", file=sys.stderr)
+        return None
+    return render_tree(elig, walk)
+
+
 def cmd_prove(args: argparse.Namespace) -> int:
     elig = classify(args.n)
     walk = scan_tree(elig)
     cert = certificate_for(elig, walk[2])
+    tables = _tables(elig, walk) if args.emit_tables else ""
+    if tables is None:
+        return 2
     if args.format == "text":
         text = _certificate_text(cert)
         if args.emit_tables:
-            text += "\n" + render_tree(elig, walk)
+            text += "\n" + tables
     else:
         text = certificate_to_json(cert)
         if args.emit_tables:
             doc = json.loads(text)
-            doc["tables"] = render_tree(elig, walk)
+            doc["tables"] = tables
             text = json.dumps(doc, indent=2) + "\n"
     return _write_out(text, args.out)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     elig = classify(args.n)
-    sys.stdout.write(render_tree(elig, scan_tree(elig)))
-    return 0
-
-
-def _eligible_range(lo: int, hi: int) -> list[int]:
-    # n = 1 (mod 4) with last digit 1 or 9 is exactly n = 1 or 9 (mod 20)
-    return [n for n in range(max(lo, MIN_ELIGIBLE), hi + 1) if n % 20 in (1, 9)]
+    tables = _tables(elig, scan_tree(elig))
+    return 2 if tables is None else _write_out(tables, None)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    ns = _eligible_range(args.start, args.stop)
+    ns = eligible_range(args.start, args.stop)
     workers = min(args.jobs, os.cpu_count() or 1, len(ns))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,18 +1,16 @@
-from twosquares.classify import EligibilityStatus, classify, mod25_sqrt
+from twosquares.classify import EligibilityStatus, classify, eligible_range
 from twosquares.represent import oracle_representations
 
 
 def test_worked_composite():
     e = classify(1000009)
     assert e.status is EligibilityStatus.ELIGIBLE
-    assert e.n_mod25 == 9
     assert e.roots_mod25 == (3, 22)
 
 
 def test_worked_prime():
     e = classify(1000081)
     assert e.status is EligibilityStatus.ELIGIBLE
-    assert e.n_mod25 == 6
     assert e.roots_mod25 == (9, 16)
 
 
@@ -32,18 +30,12 @@ def test_ineligible_statuses():
     assert classify(9).status is EligibilityStatus.ELIGIBLE
 
 
-def test_mod25_sqrt_examples():
-    assert mod25_sqrt(9) == (3, 22)
-    assert mod25_sqrt(6) == (9, 16)
-    assert mod25_sqrt(2) == ()
-    assert mod25_sqrt(0) == (0, 5, 10, 15, 20)
-
-
-def test_mod25_sqrt_matches_exhaustive():
-    for res in range(25):
-        assert mod25_sqrt(res) == tuple(
-            r for r in range(25) if r * r % 25 == res
-        )
+def test_roots_are_every_square_root_mod_25():
+    # n < 800 covers all 40 eligible classes mod 400 (n = 1, 9 mod 20)
+    for n in range(800):
+        e = classify(n)
+        expected = tuple(r for r in range(25) if (r * r - n) % 25 == 0)
+        assert e.roots_mod25 == (expected if e.is_eligible else ()), n
 
 
 def test_eligible_root_structure():
@@ -53,7 +45,7 @@ def test_eligible_root_structure():
         if not e.is_eligible:
             assert e.roots_mod25 == ()
             continue
-        assert e.n_mod4 == 1 and e.last_digit in (1, 9) and n >= 9
+        assert n % 4 == 1 and n % 10 in (1, 9) and n >= 9
         roots = e.roots_mod25
         assert roots == () or (
             len(roots) == 2
@@ -73,3 +65,13 @@ def test_one_member_divisible_by_five():
             assert (rep.a % 5 == 0) != (rep.b % 5 == 0)
         if not e.roots_mod25:
             assert oracle_representations(n) == []
+
+
+def test_eligible_range_matches_classify():
+    for n in range(10**4):
+        assert classify(n).is_eligible == (n >= 9 and n % 20 in (1, 9)), n
+    eligible = {n for n in range(140) if classify(n).is_eligible}
+    for lo in range(140):
+        for hi in range(140):
+            expected = [n for n in range(lo, hi + 1) if n in eligible]
+            assert eligible_range(lo, hi) == expected, (lo, hi)

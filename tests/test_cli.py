@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from twosquares import certify, cli, represent
-from twosquares.classify import classify
 from twosquares.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -35,6 +34,18 @@ def test_classify_ineligible(capsys):
     code, out, _ = run(capsys, "classify", "39")
     assert code == 0
     assert "ineligible_mod4" in out
+
+
+def test_classify_output_matches_golden(capsys):
+    # text then JSON for each n: every status, the printed residues, the cap
+    ns = [*range(401), 1000009, 1000081, 10**10 + 9, 9223372036854775549, 2**63 - 1]
+    outs = []
+    for n in ns:
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, "classify", str(n), "--format", fmt)
+            assert code == 0
+            outs.append(out)
+    assert "".join(outs) == (GOLDEN / "cli_classify.txt").read_text(encoding="utf-8")
 
 
 def test_prove_composite(capsys):
@@ -194,16 +205,6 @@ def test_sweep_deterministic_across_jobs(capsys, tmp_path):
     assert f1.read_bytes() == f2.read_bytes() == f3.read_bytes()
 
 
-def test_eligible_range_matches_classify():
-    for n in range(10**4):
-        assert classify(n).is_eligible == (n >= 9 and n % 20 in (1, 9)), n
-    eligible = {n for n in range(140) if classify(n).is_eligible}
-    for lo in range(140):
-        for hi in range(140):
-            expected = [n for n in range(lo, hi + 1) if n in eligible]
-            assert cli._eligible_range(lo, hi) == expected, (lo, hi)
-
-
 def test_numeric_arguments_validated(capsys):
     argvs = [["prove", "abc"], ["classify", str(2**63)], ["prove", "-5"]]
     # other spellings of 1000081 that int() accepts
@@ -308,6 +309,20 @@ def test_emit_tables_walks_the_scan_tree_once(capsys, monkeypatch):
         assert code == 0
         # three scannable leaves (A.e0, B, C); one classify for the one walk
         assert counts == {"scan_branch": 3, "classify": 1}, argv
+
+
+def test_tables_past_row_limit_exit_two(capsys, tmp_path):
+    # 10^15 + 21 has 1,264,911 table rows
+    n = "1000000000000021"
+    out_file = tmp_path / "f"
+    for argv in (["scan", n], ["prove", n, "--emit-tables", "--out", str(out_file)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and "1,000,000 rows" in err, err
+    assert not out_file.exists()
+    code, out, _ = run(capsys, "prove", n)
+    assert code == 0 and json.loads(out)["n"] == n
 
 
 def test_unwritable_out_exits_two(capsys, tmp_path):

@@ -164,6 +164,12 @@ def test_initial_quadratic_rejects_bad_root():
         initial_quadratic(1000009, 4)
 
 
+def test_quadratic_rejects_nonpositive_gamma():
+    for gamma in (0, -25):
+        with pytest.raises(ValueError, match="must be positive"):
+            Quadratic(40000, 6, gamma)
+
+
 def test_refine_worked_composite():
     children = {b.name: b for b in refine(initial_quadratic(1000009, 3))}
     assert children["A"].quadratic == Quadratic(10000, 3, 25)

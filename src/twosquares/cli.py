@@ -7,7 +7,8 @@ number, out-of-range value, malformed or undecodable document), an
 --out file that cannot be written, or tables (scan, prove --emit-tables)
 of more than MAX_TABLE_ROWS = 10**6 rows, which are refused before
 anything is written.  prove takes its certificate, and with
---emit-tables its tables, from one walk of the scan tree.
+--emit-tables its tables, from one walk of the scan tree.  sweep takes
+one window pass when it is cheaper than one decide per N; same CSV.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from math import isqrt
 
 from .arith import MAX_MAGNITUDE, parse_decimal
 from .certify import (
@@ -30,11 +32,15 @@ from .certify import (
 )
 from .classify import Eligibility, classify, eligible_range
 from .report import render_tree, sweep_csv
-from .represent import scan_tree
+from .represent import scan_tree, window_representations
 
 # scan and prove --emit-tables refuse longer tables: each row holds
 # hundreds of bytes of text until the whole document is written
 MAX_TABLE_ROWS = 10**6
+
+# sweep's path costs in leaf-sieve rows (one core of a 2-core Xeon): a b-step
+# of the window pass, and decide's cost per N before its sqrt(N)/17 rows
+ANNULUS_STEP_ROWS, DECIDE_SETUP_ROWS = 32, 5000
 
 
 def _natural(text: str) -> int:
@@ -155,8 +161,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     ns = eligible_range(args.start, args.stop)
-    workers = min(args.jobs, os.cpu_count() or 1, len(ns))
-    if workers > 1:
+    per_n_rows = len(ns) * (isqrt(args.stop) // 17 + DECIDE_SETUP_ROWS)
+    if ANNULUS_STEP_ROWS * isqrt(args.stop // 2) <= per_n_rows:
+        found = window_representations(args.start, args.stop)
+        certs = (certificate_for(classify(n), found.pop(n, [])) for n in ns)
+    elif (workers := min(args.jobs, os.cpu_count() or 1, len(ns))) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             certs = list(pool.map(decide, ns, chunksize=64))
     else:

@@ -3,7 +3,9 @@
 The scan route is one walk of the branch tree, scan_tree(), seeded
 with the smaller mod-25 root (signed t reaches the conjugate root
 class); representations() and the CLI's prove and scan read from it.
-The brute-force route is an independent oracle used for verification.
+The window pass, window_representations(), lists every eligible
+a^2 + b^2 in [lo, hi] at once, for sweep.  The brute-force route is an
+independent oracle used for verification.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import check_magnitude
-from .classify import Eligibility, classify
+from .classify import MIN_ELIGIBLE, Eligibility, classify
 from .scan import ScanBranch, expand_branches, initial_quadratic, recover_xy, scan_branch
 
 
@@ -67,6 +69,22 @@ def representations(n: int) -> list[Representation]:
     if not elig.is_eligible:
         raise ValueError(f"{n} is not eligible ({elig.status.value}); see classify()")
     return scan_tree(elig)[2]
+
+
+def window_representations(lo: int, hi: int) -> dict[int, list[Representation]]:
+    """representations(n) of every eligible n in [lo, hi] with one, by one
+    pass over the annulus lo <= a^2 + b^2 <= hi, a >= b >= 0: b rises, so
+    each list comes out sorted by descending a."""
+    check_magnitude(hi)
+    lo = max(lo, MIN_ELIGIBLE)
+    found: dict[int, list[Representation]] = {}
+    for b in range(isqrt(hi // 2) + 1):
+        a = max(b, isqrt(lo - b * b - 1) + 1 if lo > b * b else 0)
+        while (n := a * a + b * b) <= hi:
+            if n % 20 in (1, 9):
+                found.setdefault(n, []).append(Representation.of(a, b))
+            a += 1
+    return found
 
 
 def oracle_representations(n: int) -> list[Representation]:

@@ -199,9 +199,11 @@ def test_sweep_empty_range(capsys):
 
 def test_sweep_deterministic_across_jobs(capsys, tmp_path):
     f1, f2, f3 = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
-    assert main(["sweep", "1000000", "1000400", "--out", str(f1)]) == 0
-    assert main(["sweep", "1000000", "1000400", "--out", str(f2)]) == 0
-    assert main(["sweep", "1000000", "1000400", "--jobs", "2", "--out", str(f3)]) == 0
+    # a window narrow enough at 10^12 to take one decide per N, so the pool runs
+    lo, hi = "1000000000000", "1000000000400"
+    assert main(["sweep", lo, hi, "--out", str(f1)]) == 0
+    assert main(["sweep", lo, hi, "--out", str(f2)]) == 0
+    assert main(["sweep", lo, hi, "--jobs", "2", "--out", str(f3)]) == 0
     assert f1.read_bytes() == f2.read_bytes() == f3.read_bytes()
 
 
@@ -240,14 +242,16 @@ def test_sweep_jobs_clamped(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    _, serial, _ = run(capsys, "sweep", "1000000", "1000400")
+    # windows that take one decide per N, the only path with a pool
+    lo, hi = "1000000000000", "1000000000400"
+    _, serial, _ = run(capsys, "sweep", lo, hi)
     # 4 CPUs bound a huge --jobs; 3 eligible n bound it further;
     # a pool of one runs serially without a pool
-    assert run(capsys, "sweep", "1000000", "1000400", "--jobs", "1000000")[1] == serial
+    assert run(capsys, "sweep", lo, hi, "--jobs", "1000000")[1] == serial
     assert run(capsys, "sweep", "1000001", "1000021", "--jobs", "1000000")[0] == 0
     assert run(capsys, "sweep", "1000001", "1000001", "--jobs", "1000000")[0] == 0
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert run(capsys, "sweep", "1000000", "1000400", "--jobs", "8")[1] == serial
+    assert run(capsys, "sweep", lo, hi, "--jobs", "8")[1] == serial
     assert sizes == [4, 3]
 
 

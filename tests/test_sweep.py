@@ -1,0 +1,75 @@
+"""The sweep's window pass against one decide per N."""
+
+import random
+
+import pytest
+
+from reference import per_n_sweep
+from twosquares import cli, represent
+from twosquares.classify import eligible_range
+from twosquares.cli import main
+from twosquares.represent import representations, window_representations
+
+
+def sweep(capsys, monkeypatch, lo, hi):
+    """(CSV, whether the window pass ran) of `twosquares sweep lo hi`."""
+    calls = []
+
+    def spy(lo, hi):
+        calls.append((lo, hi))
+        return represent.window_representations(lo, hi)
+
+    monkeypatch.setattr(cli, "window_representations", spy)
+    assert main(["sweep", str(lo), str(hi)]) == 0
+    return capsys.readouterr().out, bool(calls)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (1000000, 1002000),
+        (0, 3000),
+        (1, 9),
+        (9, 9),
+        # 2401 = 49^2 + 0^2: the b = 0 column
+        (2390, 2410),
+        # both ends eligible sums of two squares
+        (1000009, 1000081),
+        (1009, 1021),
+    ],
+)
+def test_window_pass_matches_per_n_sweep(capsys, monkeypatch, lo, hi):
+    out, windowed = sweep(capsys, monkeypatch, lo, hi)
+    assert windowed
+    assert out == per_n_sweep(lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(1000009, 1000081), (1009, 1021)])
+def test_window_ends_are_sums_of_two_squares(lo, hi):
+    assert {lo, hi} <= window_representations(lo, hi).keys()
+
+
+@pytest.mark.parametrize(
+    "lo, hi, windowed",
+    [
+        # 13 eligible N: 13 * (3162 // 17 + 5000) < 32 * isqrt(hi // 2) = 71552
+        (10**7, 10**7 + 128, False),
+        # 14 eligible N cross it
+        (10**7, 10**7 + 129, True),
+        (10**12 + 61, 10**12 + 81, False),
+    ],
+)
+def test_path_rule_crossover(capsys, monkeypatch, lo, hi, windowed):
+    out, took_window = sweep(capsys, monkeypatch, lo, hi)
+    assert took_window is windowed
+    assert out == per_n_sweep(lo, hi)
+
+
+@pytest.mark.parametrize("exponent", [5, 7, 9, 11, 12])
+def test_window_representations_match_the_scan(exponent):
+    rng = random.Random(exponent)
+    lo = rng.randrange(10**exponent, 2 * 10**exponent)
+    hi = lo + 400
+    found = window_representations(lo, hi)
+    expected = {n: representations(n) for n in eligible_range(lo, hi)}
+    assert found == {n: reps for n, reps in expected.items() if reps}

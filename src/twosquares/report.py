@@ -5,7 +5,11 @@ scan_tree walk; each scanned leaf gets a subtrahend/difference table
 (what gets subtracted for each step away from the start, first
 differences growing by 2*gamma) and a running-subtraction table (the
 successive branch values, squares marked with '*').  Both tables are a
-view over the range of t that scan_branch covered.
+view over the range of t that scan_branch covered.  Like the hand
+tables, they evaluate Q once per side, at the head, and get every other
+value by running subtraction; the cells are formatted by one '%' per
+block of rows, with each column as wide as the longest of its header,
+its smallest cell and its largest cell.
 
 The side whose subtrahends grow more slowly (linear term working
 against the quadratic) is rendered first, matching the hand layout.
@@ -14,7 +18,9 @@ All output is plain decimal, LF line endings, locale-independent.
 
 from __future__ import annotations
 
-from itertools import pairwise
+from collections.abc import Iterator
+from itertools import accumulate, chain, pairwise, repeat
+from operator import sub
 
 from .certify import Certificate
 from .classify import Eligibility
@@ -45,6 +51,18 @@ def _sides(branch: ScanBranch, ts: range) -> tuple[tuple[str, range], tuple[str,
     return ((near, down), (far, up)) if q.beta > 0 else ((near, up), (far, down))
 
 
+def _columns(branch: ScanBranch, ts: range) -> Iterator[tuple[str, range, list[int], range]]:
+    """Each side of _sides as (label, side, values, diffs): the branch
+    values from the head outward, by running subtraction, and the first
+    differences between them, which grow by 2*gamma per step."""
+    q = branch.quadratic
+    for label, side in _sides(branch, ts):
+        t0, s = side.start, side.step
+        d0 = q.beta * s + q.gamma * (2 * t0 * s + 1)
+        diffs = range(d0, d0 + 2 * q.gamma * (len(side) - 1), 2 * q.gamma)
+        yield label, side, list(accumulate(diffs, sub, initial=q.value_at(t0))), diffs
+
+
 def render_difference_table(branch: ScanBranch, ts: range) -> str:
     """Fixed-width table of per-step subtrahends and their differences,
     near side then far side, one row per distance c from the start.
@@ -53,19 +71,25 @@ def render_difference_table(branch: ScanBranch, ts: range) -> str:
     title = branch.describe()
     if not ts:
         return title + "\n  (no rows)\n"
-    q = branch.quadratic
-    sides = _sides(branch, ts)
-    depth = max(len(side) for _, side in sides)
-    # one list of cells per column, header first; a short side pads with ""
-    columns = [["c", *map(str, range(depth))]]
-    for label, side in sides:
-        values = list(map(q.value_at, side))
-        pad = [""] * (depth - len(side))
-        columns.append([label, *(str(q.m - v) for v in values), *pad])
-        columns.append(["diff", "", *(str(a - b) for a, b in pairwise(values)), *pad])
-    widths = [max(map(len, column)) for column in columns]
-    rows = (" | ".join(map(str.rjust, row, widths)).rstrip() for row in zip(*columns))
-    return "\n".join([title, *rows]) + "\n"
+    m = branch.quadratic.m
+    sides = list(_columns(branch, ts))
+    lengths = [len(side) for _, side, _, _ in sides]
+    # (header, cells, c of the first cell) per column; a side's diffs start at c = 1
+    columns = [("c", range(max(lengths)), 0)]
+    for label, _, values, diffs in sides:
+        columns += [(label, list(map(sub, repeat(m), values)), 0), ("diff", diffs, 1)]
+    # len(str(x)) grows with |x| on each side of 0, so min or max is the widest cell
+    widths = [max(len(head), len(str(min(col, default=0))), len(str(max(col, default=0))))
+              for head, col, _ in columns]
+    lines = [title, " | ".join(map(str.rjust, [head for head, _, _ in columns], widths))]
+    # in each block of rows (the head, both sides, the longer side's tail)
+    # every column is filled throughout or blank throughout
+    for lo, hi in pairwise(sorted({0, 1, *lengths})):
+        filled = [first <= lo and hi <= first + len(col) for _, col, first in columns]
+        row = " | ".join(f"%{w}d" if f else " " * w for f, w in zip(filled, widths)).rstrip()
+        cells = [col[lo - first : hi - first] for (_, col, first), f in zip(columns, filled) if f]
+        lines.append("\n".join([row] * (hi - lo)) % tuple(chain.from_iterable(zip(*cells))))
+    return "\n".join(lines) + "\n"
 
 
 def render_scan_table(branch: ScanBranch, ts: range, hits: list[ScanHit]) -> str:
@@ -77,19 +101,18 @@ def render_scan_table(branch: ScanBranch, ts: range, hits: list[ScanHit]) -> str
     if not ts:
         return title + "\n  (no rows)\n"
     q = branch.quadratic
-    hit_ts = {h.t for h in hits}
     # ts is exactly where Q >= 0, so it holds the vertex, the widest value
     width = len(str(q.value_at(_vertex(q))))
     lines = [title]
-    for label, side in _sides(branch, ts):
-        lines.append(f"side {label}:")
-        prev = None
-        for t in side:
-            value = q.value_at(t)
-            if prev is not None:
-                lines.append("  " + str(prev - value).rjust(width))
-            lines.append(("* " if t in hit_ts else "  ") + str(value).rjust(width))
-            prev = value
+    for label, side, values, diffs in _columns(branch, ts):
+        # a line per value, a diff line between two; a hit at the head shows on both sides
+        templates = [f"  %{width}d"] * (2 * len(side) - 1)
+        for h in hits:
+            if h.t in side:
+                templates[2 * side.index(h.t)] = f"* %{width}d"
+        cells = [0] * len(templates)
+        cells[::2], cells[1::2] = values, diffs
+        lines += [f"side {label}:", "\n".join(templates) % tuple(cells)]
     return "\n".join(lines) + "\n"
 
 

@@ -2,11 +2,63 @@
 
 from __future__ import annotations
 
+from itertools import pairwise
+
 from twosquares import decide, sweep_csv
 from twosquares.classify import eligible_range
+from twosquares.report import _sides, _vertex
+from twosquares.scan import ScanBranch, ScanHit
 
 
 def per_n_sweep(lo: int, hi: int) -> str:
     """The sweep CSV of [lo, hi] by one decide per eligible N, the path
     `twosquares sweep` takes for windows too narrow for its window pass."""
     return sweep_csv([decide(n) for n in eligible_range(lo, hi)])
+
+
+def render_difference_table(branch: ScanBranch, ts: range) -> str:
+    """Fixed-width table of per-step subtrahends and their differences,
+    near side then far side, one row per distance c from the start.
+
+    ts is the range of t that scan_branch covered."""
+    title = branch.describe()
+    if not ts:
+        return title + "\n  (no rows)\n"
+    q = branch.quadratic
+    sides = _sides(branch, ts)
+    depth = max(len(side) for _, side in sides)
+    # one list of cells per column, header first; a short side pads with ""
+    columns = [["c", *map(str, range(depth))]]
+    for label, side in sides:
+        values = list(map(q.value_at, side))
+        pad = [""] * (depth - len(side))
+        columns.append([label, *(str(q.m - v) for v in values), *pad])
+        columns.append(["diff", "", *(str(a - b) for a, b in pairwise(values)), *pad])
+    widths = [max(map(len, column)) for column in columns]
+    rows = (" | ".join(map(str.rjust, row, widths)).rstrip() for row in zip(*columns))
+    return "\n".join([title, *rows]) + "\n"
+
+
+def render_scan_table(branch: ScanBranch, ts: range, hits: list[ScanHit]) -> str:
+    """Running-subtraction columns: the branch values with the first
+    differences between them, squares marked with '*'.
+
+    ts and hits are what scan_branch returned."""
+    title = branch.describe()
+    if not ts:
+        return title + "\n  (no rows)\n"
+    q = branch.quadratic
+    hit_ts = {h.t for h in hits}
+    # ts is exactly where Q >= 0, so it holds the vertex, the widest value
+    width = len(str(q.value_at(_vertex(q))))
+    lines = [title]
+    for label, side in _sides(branch, ts):
+        lines.append(f"side {label}:")
+        prev = None
+        for t in side:
+            value = q.value_at(t)
+            if prev is not None:
+                lines.append("  " + str(prev - value).rjust(width))
+            lines.append(("* " if t in hit_ts else "  ") + str(value).rjust(width))
+            prev = value
+    return "\n".join(lines) + "\n"

@@ -1,9 +1,12 @@
 import math
+import random
 from pathlib import Path
 
+import reference
 from twosquares.certify import decide
 from twosquares.classify import classify
 from twosquares.report import render_difference_table, render_scan_table, sweep_csv
+from twosquares.represent import scan_tree
 from twosquares.scan import (
     Quadratic,
     ScanBranch,
@@ -124,6 +127,39 @@ def edge_layouts():
 
 def test_edge_layouts_golden():
     golden_check("report_edge_layouts.txt", edge_layouts())
+
+
+def leaves_to_render():
+    """(leaf, ts, hits) for every scanned leaf of the comparison inputs."""
+    rng = random.Random(23)
+    seeded = []
+    while len(seeded) < 20:
+        n = rng.randrange(10**10, 10**11)
+        if classify(n).is_eligible:
+            seeded.append(n)
+    for n, pruning in [*((n, p) for n in range(3000) for p in (True, False)),
+                       *((n, True) for n in (1000009, 1000081, 10**12 + 61, *seeded))]:
+        for leaf, scanned in scan_tree(classify(n), respect_pruning=pruning)[1]:
+            if scanned is not None:
+                yield leaf, scanned[1], scanned[0]
+    # the last two: a first difference (-19999) wider than the last one
+    for m, beta, gamma in [*EDGE_LEAVES, (10, -20000, 1), (10, 20000, 1)]:
+        leaf = ScanBranch("edge", Quadratic(m, beta, gamma), 1, 0, 1, None)
+        hits, ts = scan_branch(leaf)
+        yield leaf, ts, hits
+
+
+def test_tables_match_per_cell_reference():
+    # names the leaves that differ: a diff of two long tables would take minutes
+    differ, count = [], 0
+    for leaf, ts, hits in leaves_to_render():
+        fast = render_difference_table(leaf, ts), render_scan_table(leaf, ts, hits)
+        slow = reference.render_difference_table(leaf, ts), reference.render_scan_table(leaf, ts, hits)
+        if fast != slow:
+            differ.append(leaf.describe())
+        count += 1
+    assert differ == []
+    assert count > 2000
 
 
 def test_rendering_is_pure():

@@ -3,7 +3,8 @@
 Exit codes: verdicts are data, never failures (prove exits 0 for any
 verdict); 1 means a certificate failed verification or is not spelled
 byte for byte as prove writes it; 2 means bad input (unparseable
-number, out-of-range value, malformed or undecodable document), an
+number, out-of-range value, malformed or undecodable document, a
+certificate file of more than MAX_CERTIFICATE_BYTES = 2**20 bytes), an
 --out file that cannot be written, or tables (scan, prove --emit-tables)
 of more than MAX_TABLE_ROWS = 10**6 rows, which are refused before
 anything is written.  prove takes its certificate, and with
@@ -37,6 +38,10 @@ from .represent import scan_tree, window_representations
 # scan and prove --emit-tables refuse longer tables: each row holds
 # hundreds of bytes of text until the whole document is written
 MAX_TABLE_ROWS = 10**6
+
+# verify reads no more of a file: the largest certificate of an eligible
+# N <= 2**63 - 1 (1,152 representations) is about 100 KB
+MAX_CERTIFICATE_BYTES = 2**20
 
 # sweep's path costs in leaf-sieve rows (one core of a 2-core Xeon): a b-step
 # of the window pass, and decide's cost per N before its sqrt(N)/17 rows
@@ -143,7 +148,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
     if args.format == "text":
         text = _certificate_text(cert)
         if args.emit_tables:
-            text += "\n" + tables
+            text = "\n".join([text, tables])
     else:
         text = certificate_to_json(cert)
         if args.emit_tables:
@@ -175,9 +180,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        # newline="" keeps CRLF line ends, so they fail the byte check below
-        with open(args.file, encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        # bytes keep CRLF line ends, so they fail the byte check below
+        with open(args.file, "rb") as fh:
+            data = fh.read(MAX_CERTIFICATE_BYTES + 1)
+        if len(data) > MAX_CERTIFICATE_BYTES:
+            limit = f"the limit of {MAX_CERTIFICATE_BYTES:,} bytes"
+            print(f"error: {args.file} is over {limit} for a certificate", file=sys.stderr)
+            return 2
+        text = data.decode("utf-8")
         cert = certificate_from_json(text)
     except (OSError, UnicodeDecodeError, CertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)

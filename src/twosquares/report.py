@@ -13,7 +13,8 @@ its smallest cell and its largest cell.
 
 The side whose subtrahends grow more slowly (linear term working
 against the quadratic) is rendered first, matching the hand layout.
-All output is plain decimal, LF line endings, locale-independent.
+All output is plain decimal, LF line endings, locale-independent, in
+pieces that each end in their own newline, joined once per document.
 """
 
 from __future__ import annotations
@@ -117,25 +118,24 @@ def render_scan_table(branch: ScanBranch, ts: range, hits: list[ScanHit]) -> str
 
 
 def render_tree(elig: Eligibility, walk: tuple) -> str:
-    """N's scan tables, drawn from its scan_tree walk (root, leaves, reps)."""
+    """N's scan tables, drawn from its scan_tree walk (root, leaves, reps),
+    as one join of pieces that each end in their own newline."""
     n = elig.n
     root, leaves, reps = walk
     if root is None:
         return f"n = {n} is not eligible ({elig.status.value}); nothing to scan\n"
-    blocks = [f"n = {n}, substitution x = {root.scale} t + {root.offset}", root.describe(), ""]
+    pieces = [f"n = {n}, substitution x = {root.scale} t + {root.offset}\n{root.describe()}\n\n"]
     for leaf, scanned in leaves:
         if scanned is None:
-            blocks.append(leaf.describe())
+            pieces.append(leaf.describe() + "\n")
         else:
             hits, ts = scanned
-            blocks.append(render_difference_table(leaf, ts).rstrip("\n"))
-            blocks.append("")
-            blocks.append(render_scan_table(leaf, ts, hits).rstrip("\n"))
-            blocks.extend(f"hit: t = {h.t}, value = {h.value} = {h.root}^2" for h in hits)
-        blocks.append("")
+            pieces += [render_difference_table(leaf, ts), "\n", render_scan_table(leaf, ts, hits)]
+            pieces.extend(f"hit: t = {h.t}, value = {h.value} = {h.root}^2\n" for h in hits)
+        pieces.append("\n")
     listed = ", ".join(f"({r.a}, {r.b})" for r in reps) or "none"
-    blocks.append(f"representations: {listed}")
-    return "\n".join(blocks) + "\n"
+    pieces.append(f"representations: {listed}\n")
+    return "".join(pieces)
 
 
 def sweep_csv(certs: list[Certificate]) -> str:

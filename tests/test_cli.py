@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,6 +133,34 @@ def test_verify_malformed_exits_two(capsys, tmp_path):
         assert "error" in err
     code, _, _ = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_verify_refuses_file_past_budget(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_bytes(b" " * (cli.MAX_CERTIFICATE_BYTES + 1))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert f"{cli.MAX_CERTIFICATE_BYTES:,} bytes" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_verify_endless_file_exits_two():
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        # a reader that never stops fails here instead of taking all memory
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "twosquares.cli", "verify", "/dev/zero"],
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent)),
+        preexec_fn=cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert f"{cli.MAX_CERTIFICATE_BYTES:,} bytes" in result.stderr
 
 
 def malformed(edit) -> str:

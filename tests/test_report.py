@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import reference
 from twosquares.certify import decide
 from twosquares.classify import classify
-from twosquares.report import render_difference_table, render_scan_table, sweep_csv
+from twosquares.report import render_difference_table, render_scan_table, render_tree, sweep_csv
 from twosquares.represent import scan_tree
 from twosquares.scan import (
     Quadratic,
@@ -167,6 +168,24 @@ def test_rendering_is_pure():
     hits, ts = scan_branch(br)
     assert render_scan_table(br, ts, hits) == render_scan_table(br, ts, hits)
     assert render_difference_table(br, ts) == render_difference_table(br, ts)
+
+
+# SHA-256 of render_tree over every n < 3000, per respect_pruning: covers
+# ineligible n, pruned leaves, "(no rows)" leaves and hits at the head,
+# which the 7-digit goldens and the 13-digit CI hash mostly miss
+RENDER_TREE_PINS = {
+    True: "380c0d7a661fd7395c504d3e2ff264d9d5c3cb6453b843cce72d12b0fcffe890",
+    False: "c288bde3e3ddc44dfdeb47afed226e81caac70734c1600791e02fa7c6ad17147",
+}
+
+
+def test_render_tree_bytes_pinned_below_3000():
+    for pruning, pin in RENDER_TREE_PINS.items():
+        digest = hashlib.sha256()
+        for n in range(3000):
+            elig = classify(n)
+            digest.update(render_tree(elig, scan_tree(elig, respect_pruning=pruning)).encode())
+        assert digest.hexdigest() == pin, pruning
 
 
 def test_sweep_csv_golden():

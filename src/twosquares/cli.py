@@ -15,6 +15,7 @@ one window pass when it is cheaper than one decide per N; same CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,7 +45,10 @@ MAX_TABLE_ROWS = 10**6
 MAX_CERTIFICATE_BYTES = 2**20
 
 # sweep's path costs in leaf-sieve rows (one core of a 2-core Xeon): a b-step
-# of the window pass, and decide's cost per N before its sqrt(N)/17 rows
+# of the window pass, and decide's cost per N before its sqrt(N)/17 rows.
+# They were timed on a pass of sqrt(hi/2) b-steps; the pass now takes about
+# sqrt(hi)/5 y-steps, so the rule over-counts it about 3.5x and picks the
+# same path for every window as it did then, until the constants are re-timed
 ANNULUS_STEP_ROWS, DECIDE_SETUP_ROWS = 32, 5000
 
 
@@ -202,7 +206,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The twosquares argument parser, built once per process on first
+    use: parse_args leaves it unchanged, and building it takes about a
+    third as long as a whole 2000-wide sweep near 10**7."""
     parser = argparse.ArgumentParser(
         prog="twosquares",
         description=(

@@ -4,8 +4,9 @@ The scan route is one walk of the branch tree, scan_tree(), seeded
 with the smaller mod-25 root (signed t reaches the conjugate root
 class); representations() and the CLI's prove and scan read from it.
 The window pass, window_representations(), lists every eligible
-a^2 + b^2 in [lo, hi] at once, for sweep.  The brute-force route is an
-independent oracle used for verification.
+x^2 + y^2 in [lo, hi] at once, for sweep: it steps the member y that
+is divisible by 5, then sorts each n's list by descending a.  The
+brute-force route is an independent oracle used for verification.
 """
 
 from __future__ import annotations
@@ -73,17 +74,22 @@ def representations(n: int) -> list[Representation]:
 
 def window_representations(lo: int, hi: int) -> dict[int, list[Representation]]:
     """representations(n) of every eligible n in [lo, hi] with one, by one
-    pass over the annulus lo <= a^2 + b^2 <= hi, a >= b >= 0: b rises, so
-    each list comes out sorted by descending a."""
+    pass over the annulus lo <= x^2 + y^2 <= hi, y a multiple of 5.
+
+    An eligible n ends in 1 or 9, so exactly one member of each of its
+    representations is divisible by 5 (25 would divide n if both were):
+    stepping that member as y lists each representation once.  Each
+    n's list is sorted by descending a at the end."""
     check_magnitude(hi)
     lo = max(lo, MIN_ELIGIBLE)
     found: dict[int, list[Representation]] = {}
-    for b in range(isqrt(hi // 2) + 1):
-        a = max(b, isqrt(lo - b * b - 1) + 1 if lo > b * b else 0)
-        while (n := a * a + b * b) <= hi:
-            if n % 20 in (1, 9):
-                found.setdefault(n, []).append(Representation.of(a, b))
-            a += 1
+    for y in range(0, isqrt(hi) + 1, 5):
+        yy = y * y
+        for x in range(isqrt(lo - yy - 1) + 1 if lo > yy else 0, isqrt(hi - yy) + 1):
+            if (n := x * x + yy) % 20 in (1, 9):
+                found.setdefault(n, []).append(Representation.of(x, y))
+    for reps in found.values():
+        reps.sort(key=lambda r: -r.a)
     return found
 
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from itertools import pairwise
+from math import isqrt
 
 from twosquares import decide, sweep_csv
-from twosquares.classify import eligible_range
+from twosquares.arith import check_magnitude
+from twosquares.classify import MIN_ELIGIBLE, eligible_range
 from twosquares.report import _sides, _vertex
+from twosquares.represent import Representation
 from twosquares.scan import ScanBranch, ScanHit
 
 
@@ -14,6 +17,23 @@ def per_n_sweep(lo: int, hi: int) -> str:
     """The sweep CSV of [lo, hi] by one decide per eligible N, the path
     `twosquares sweep` takes for windows too narrow for its window pass."""
     return sweep_csv([decide(n) for n in eligible_range(lo, hi)])
+
+
+def annulus_window_representations(lo: int, hi: int) -> dict[int, list[Representation]]:
+    """representations(n) of every eligible n in [lo, hi] with one, by one
+    pass over the annulus lo <= a^2 + b^2 <= hi, a >= b >= 0: b rises, so
+    each list comes out sorted by descending a.  The window pass that
+    window_representations replaced: about sqrt(hi/2) b-steps."""
+    check_magnitude(hi)
+    lo = max(lo, MIN_ELIGIBLE)
+    found: dict[int, list[Representation]] = {}
+    for b in range(isqrt(hi // 2) + 1):
+        a = max(b, isqrt(lo - b * b - 1) + 1 if lo > b * b else 0)
+        while (n := a * a + b * b) <= hi:
+            if n % 20 in (1, 9):
+                found.setdefault(n, []).append(Representation.of(a, b))
+            a += 1
+    return found
 
 
 def render_difference_table(branch: ScanBranch, ts: range) -> str:

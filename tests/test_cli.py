@@ -252,13 +252,13 @@ def test_numeric_arguments_validated(capsys):
     capsys.readouterr()
 
 
-def test_sweep_jobs_clamped(capsys, monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every pool sweep starts: ProcessPoolExecutor is
+    replaced by a RecordingPool, which maps in-process, so no worker starts."""
     sizes = []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers and
-        maps in-process, so no worker starts."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -272,6 +272,10 @@ def test_sweep_jobs_clamped(capsys, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_sweep_jobs_clamped(capsys, monkeypatch, pool_sizes):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     # windows that take one decide per N, the only path with a pool
     lo, hi = "1000000000000", "1000000000400"
@@ -283,7 +287,28 @@ def test_sweep_jobs_clamped(capsys, monkeypatch):
     assert run(capsys, "sweep", "1000001", "1000001", "--jobs", "1000000")[0] == 0
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert run(capsys, "sweep", lo, hi, "--jobs", "8")[1] == serial
-    assert sizes == [4, 3]
+    assert pool_sizes == [4, 3]
+
+
+def test_one_parser_serves_many_calls(capsys, monkeypatch, pool_sizes):
+    # the parser is built once per process; no call's options reach the next
+    assert cli.build_parser() is cli.build_parser()
+    tables = (GOLDEN / "cli_prove_1000009_tables.txt").read_text(encoding="utf-8")
+    assert run(capsys, "prove", "1000009", "--emit-tables", "--format", "text") == (0, tables, "")
+    code, text, _ = run(capsys, "prove", "1000009", "--format", "text")
+    assert code == 0 and tables.startswith(text + "\n") and "side" not in text
+    good = run(capsys, "prove", "1000081")
+    with pytest.raises(SystemExit) as exc:
+        main(["prove", "1_000_081"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "prove", "1000081") == good
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    # a window that takes one decide per N, the only path with a pool
+    lo, hi = "1000000000000", "1000000000400"
+    pooled = run(capsys, "sweep", lo, hi, "--jobs", "2")
+    assert run(capsys, "sweep", lo, hi) == pooled
+    assert pool_sizes == [2]
 
 
 def test_cli_output_byte_identical(capsys):

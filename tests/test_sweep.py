@@ -1,10 +1,10 @@
-"""The sweep's window pass against one decide per N."""
+"""The sweep's window pass against one decide per N and the annulus pass it replaced."""
 
 import random
 
 import pytest
 
-from reference import per_n_sweep
+from reference import annulus_window_representations, per_n_sweep
 from twosquares import cli, represent
 from twosquares.classify import eligible_range
 from twosquares.cli import main
@@ -73,3 +73,23 @@ def test_window_representations_match_the_scan(exponent):
     found = window_representations(lo, hi)
     expected = {n: representations(n) for n in eligible_range(lo, hi)}
     assert found == {n: reps for n, reps in expected.items() if reps}
+
+
+def test_window_representations_match_the_annulus_pass():
+    # every window's dict, and each n's list in order, equals the b-loop's;
+    # y = 0 (2401 = 49^2 + 0^2), the smallest eligible n, and windows that
+    # start at y^2 or y^2 + 1 for y a multiple of 5, where x starts at 0 or 1
+    windows = [(lo, lo + 40) for lo in range(3000)]
+    windows += [(0, 0), (1, 9), (9, 9), (2401, 2401), (1000009, 1000009)]
+    for y in [*range(0, 400, 5), 31625, 100000]:
+        windows += [(y * y, y * y + 40), (y * y + 1, y * y + 41)]
+    for lo, hi in windows:
+        assert window_representations(lo, hi) == annulus_window_representations(lo, hi), (lo, hi)
+    # a seeded lo per decade up to 10^12; the reference's cost is sqrt(hi/2)
+    # b-steps at any width, so its widest window gives the narrower ones
+    for exponent in range(1, 13):
+        lo = random.Random(exponent).randrange(10**exponent, 2 * 10**exponent)
+        widest = annulus_window_representations(lo, lo + 2000)
+        for width in (0, 1, 20, 2000):
+            expected = {n: reps for n, reps in widest.items() if n <= lo + width}
+            assert window_representations(lo, lo + width) == expected, (lo, width)

@@ -10,6 +10,8 @@ of more than MAX_TABLE_ROWS = 10**6 rows, which are refused before
 anything is written.  prove takes its certificate, and with
 --emit-tables its tables, from one walk of the scan tree.  sweep takes
 one window pass when it is cheaper than one decide per N; same CSV.
+Output streams, never joined or re-parsed whole: a failure part-way (out
+of memory, say) leaves what was written, and `| head` still exits 0.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
 from math import isqrt
 
 from .arith import MAX_MAGNITUDE, parse_decimal
@@ -36,8 +40,8 @@ from .classify import Eligibility, classify, eligible_range
 from .report import render_tree, sweep_csv
 from .represent import scan_tree, window_representations
 
-# scan and prove --emit-tables refuse longer tables: each row holds
-# hundreds of bytes of text until the whole document is written
+# scan and prove --emit-tables refuse longer tables: each row is hundreds
+# of bytes of text, and each leaf's table is drawn whole before it is written
 MAX_TABLE_ROWS = 10**6
 
 # verify reads no more of a file: the largest certificate of an eligible
@@ -68,13 +72,14 @@ def _jobs(text: str) -> int:
     return value
 
 
-def _write_out(text: str, out: str | None) -> int:
+def _write_out(pieces: Iterable[str], out: str | None) -> int:
+    """Write each piece as it is made, to stdout or to out once it is open."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return 0
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -131,8 +136,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tables(elig: Eligibility, walk: tuple) -> str | None:
-    """render_tree's text, or None after an error on stderr when the
+def _tables(elig: Eligibility, walk: tuple) -> Iterator[str] | None:
+    """render_tree's pieces, or None after an error on stderr when the
     walk's scanned leaves hold more than MAX_TABLE_ROWS rows."""
     rows = sum(len(scanned[1]) for _, scanned in walk[1] if scanned)
     if rows > MAX_TABLE_ROWS:
@@ -146,20 +151,21 @@ def cmd_prove(args: argparse.Namespace) -> int:
     elig = classify(args.n)
     walk = scan_tree(elig)
     cert = certificate_for(elig, walk[2])
-    tables = _tables(elig, walk) if args.emit_tables else ""
+    tables = _tables(elig, walk) if args.emit_tables else ()
     if tables is None:
         return 2
     if args.format == "text":
-        text = _certificate_text(cert)
-        if args.emit_tables:
-            text = "\n".join([text, tables])
+        head = _certificate_text(cert)
+        pieces = chain([head, "\n"], tables) if args.emit_tables else [head]
+    elif args.emit_tables:
+        # "tables" as json.dumps(indent=2) spells a last field: JSON escapes
+        # one code point at a time, so piece by piece gives the same bytes
+        head = certificate_to_json(cert).removesuffix("\n}\n")
+        escaped = (json.dumps(piece)[1:-1] for piece in tables)
+        pieces = chain([head, ',\n  "tables": "'], escaped, ['"\n}\n'])
     else:
-        text = certificate_to_json(cert)
-        if args.emit_tables:
-            doc = json.loads(text)
-            doc["tables"] = tables
-            text = json.dumps(doc, indent=2) + "\n"
-    return _write_out(text, args.out)
+        pieces = [certificate_to_json(cert)]
+    return _write_out(pieces, args.out)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -179,7 +185,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             certs = list(pool.map(decide, ns, chunksize=64))
     else:
         certs = [decide(n) for n in ns]
-    return _write_out(sweep_csv(certs), args.out)
+    return _write_out([sweep_csv(certs)], args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -252,7 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout early (| head); the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ its smallest cell and its largest cell.
 
 The side whose subtrahends grow more slowly (linear term working
 against the quadratic) is rendered first, matching the hand layout.
-All output is plain decimal, LF line endings, locale-independent, in
-pieces that each end in their own newline, joined once per document.
+All output is plain decimal, LF line endings, locale-independent;
+render_tree yields pieces that each end in their own newline, unjoined.
 """
 
 from __future__ import annotations
@@ -117,25 +117,27 @@ def render_scan_table(branch: ScanBranch, ts: range, hits: list[ScanHit]) -> str
     return "\n".join(lines) + "\n"
 
 
-def render_tree(elig: Eligibility, walk: tuple) -> str:
+def render_tree(elig: Eligibility, walk: tuple) -> Iterator[str]:
     """N's scan tables, drawn from its scan_tree walk (root, leaves, reps),
-    as one join of pieces that each end in their own newline."""
+    as pieces that each end in their own newline, each made when asked for."""
     n = elig.n
     root, leaves, reps = walk
     if root is None:
-        return f"n = {n} is not eligible ({elig.status.value}); nothing to scan\n"
-    pieces = [f"n = {n}, substitution x = {root.scale} t + {root.offset}\n{root.describe()}\n\n"]
+        yield f"n = {n} is not eligible ({elig.status.value}); nothing to scan\n"
+        return
+    yield f"n = {n}, substitution x = {root.scale} t + {root.offset}\n{root.describe()}\n\n"
     for leaf, scanned in leaves:
         if scanned is None:
-            pieces.append(leaf.describe() + "\n")
+            yield leaf.describe() + "\n"
         else:
             hits, ts = scanned
-            pieces += [render_difference_table(leaf, ts), "\n", render_scan_table(leaf, ts, hits)]
-            pieces.extend(f"hit: t = {h.t}, value = {h.value} = {h.root}^2\n" for h in hits)
-        pieces.append("\n")
+            yield render_difference_table(leaf, ts)
+            yield "\n"
+            yield render_scan_table(leaf, ts, hits)
+            yield from (f"hit: t = {h.t}, value = {h.value} = {h.root}^2\n" for h in hits)
+        yield "\n"
     listed = ", ".join(f"({r.a}, {r.b})" for r in reps) or "none"
-    pieces.append(f"representations: {listed}\n")
-    return "".join(pieces)
+    yield f"representations: {listed}\n"
 
 
 def sweep_csv(certs: list[Certificate]) -> str:

@@ -163,6 +163,21 @@ def test_verify_endless_file_exits_two():
     assert f"{cli.MAX_CERTIFICATE_BYTES:,} bytes" in result.stderr
 
 
+def test_reader_closing_early_exits_zero():
+    # scan writes about 3 MB here; the reader takes one line and closes
+    with subprocess.Popen(
+        [sys.executable, "-m", "twosquares.cli", "scan", "1000000000061"],
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"n = 1000000000061, ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0, err
+    assert err == b""
+
+
 def malformed(edit) -> str:
     """prove 1000009's document with one field broken by edit(doc)."""
     doc = json.loads(certify.certificate_to_json(certify.decide(1000009)))
@@ -340,6 +355,8 @@ def test_emit_tables_adds_tables_and_nothing_else(capsys):
         _, plain, _ = run(capsys, "prove", str(n))
         _, augmented, _ = run(capsys, "prove", str(n), "--emit-tables")
         doc = json.loads(augmented)
+        # the streamed document is spelled as the indenting encoder spells it
+        assert augmented == json.dumps(doc, indent=2) + "\n", n
         tables = doc.pop("tables")
         assert json.dumps(doc, indent=2) + "\n" == plain, n
         _, text, _ = run(capsys, "prove", str(n), "--format", "text")
@@ -389,6 +406,7 @@ def test_unwritable_out_exits_two(capsys, tmp_path):
     missing = tmp_path / "missing"
     for argv in (
         ["prove", "1000009", "--out", str(missing / "x.json")],
+        ["prove", "1000009", "--emit-tables", "--out", str(missing / "t.json")],
         ["sweep", "100", "200", "--out", str(missing / "x.csv")],
     ):
         code, out, err = run(capsys, *argv)

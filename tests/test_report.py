@@ -184,7 +184,7 @@ def test_render_tree_bytes_pinned_below_3000():
         digest = hashlib.sha256()
         for n in range(3000):
             elig = classify(n)
-            digest.update(render_tree(elig, scan_tree(elig, respect_pruning=pruning)).encode())
+            digest.update("".join(render_tree(elig, scan_tree(elig, respect_pruning=pruning))).encode())
         assert digest.hexdigest() == pin, pruning
 
 

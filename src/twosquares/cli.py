@@ -9,9 +9,12 @@ certificate file of more than MAX_CERTIFICATE_BYTES = 2**20 bytes), an
 of more than MAX_TABLE_ROWS = 10**6 rows, which are refused before
 anything is written.  prove takes its certificate, and with
 --emit-tables its tables, from one walk of the scan tree.  sweep takes
-one window pass when it is cheaper than one decide per N; same CSV.
-Output streams, never joined or re-parsed whole: a failure part-way (out
-of memory, say) leaves what was written, and `| head` still exits 0.
+one window pass when a cost rule timed on both paths rates it cheaper
+than one decide per N; same CSV.  Only sweep's per-N path with --jobs
+above 1 loads the process pool.  Every command writes through
+_write_out, and output streams, never joined or re-parsed whole: a
+failure part-way (out of memory, say) leaves what was written, and
+`| head` still exits 0.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
 from math import isqrt
 
@@ -48,12 +50,10 @@ MAX_TABLE_ROWS = 10**6
 # N <= 2**63 - 1 (1,152 representations) is about 100 KB
 MAX_CERTIFICATE_BYTES = 2**20
 
-# sweep's path costs in leaf-sieve rows (one core of a 2-core Xeon): a b-step
-# of the window pass, and decide's cost per N before its sqrt(N)/17 rows.
-# They were timed on a pass of sqrt(hi/2) b-steps; the pass now takes about
-# sqrt(hi)/5 y-steps, so the rule over-counts it about 3.5x and picks the
-# same path for every window as it did then, until the constants are re-timed
-ANNULUS_STEP_ROWS, DECIDE_SETUP_ROWS = 32, 5000
+# sweep's path costs in leaf-sieve rows, timed in one process on one core of
+# a 2-core Xeon: a y-step of the window pass, certificates included, and
+# decide's cost per N before its sqrt(N)/17 rows
+WINDOW_STEP_ROWS, DECIDE_SETUP_ROWS = 38, 7000
 
 
 def _natural(text: str) -> int:
@@ -86,32 +86,6 @@ def _write_out(pieces: Iterable[str], out: str | None) -> int:
     return 0
 
 
-def _eligibility_text(n: int) -> str:
-    elig = classify(n)
-    lines = [
-        f"n = {n}",
-        f"status: {elig.status.value}",
-        f"n mod 4 = {n % 4}, last digit = {n % 10}, n mod 25 = {n % 25}",
-    ]
-    if elig.is_eligible:
-        roots = "/".join(str(r) for r in elig.roots_mod25)
-        lines.append(f"square roots of n mod 25: {roots}")
-    return "\n".join(lines) + "\n"
-
-
-def _eligibility_json(n: int) -> str:
-    elig = classify(n)
-    doc = {
-        "n": str(n),
-        "status": elig.status.value,
-        "n_mod4": str(n % 4),
-        "last_digit": str(n % 10),
-        "n_mod25": str(n % 25),
-        "roots_mod25": [str(r) for r in elig.roots_mod25],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _certificate_text(cert: Certificate) -> str:
     lines = [f"n = {cert.n}", f"verdict: {cert.verdict.value}"]
     if cert.representations:
@@ -129,11 +103,27 @@ def _certificate_text(cert: Certificate) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    n, elig = args.n, classify(args.n)
+    roots = [str(r) for r in elig.roots_mod25]
     if args.format == "json":
-        sys.stdout.write(_eligibility_json(args.n))
+        doc = {
+            "n": str(n),
+            "status": elig.status.value,
+            "n_mod4": str(n % 4),
+            "last_digit": str(n % 10),
+            "n_mod25": str(n % 25),
+            "roots_mod25": roots,
+        }
+        pieces = [json.dumps(doc, indent=2), "\n"]
     else:
-        sys.stdout.write(_eligibility_text(args.n))
-    return 0
+        pieces = [
+            f"n = {n}\n",
+            f"status: {elig.status.value}\n",
+            f"n mod 4 = {n % 4}, last digit = {n % 10}, n mod 25 = {n % 25}\n",
+        ]
+        if roots:
+            pieces.append(f"square roots of n mod 25: {'/'.join(roots)}\n")
+    return _write_out(pieces, None)
 
 
 def _tables(elig: Eligibility, walk: tuple) -> Iterator[str] | None:
@@ -176,11 +166,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     ns = eligible_range(args.start, args.stop)
-    per_n_rows = len(ns) * (isqrt(args.stop) // 17 + DECIDE_SETUP_ROWS)
-    if ANNULUS_STEP_ROWS * isqrt(args.stop // 2) <= per_n_rows:
+    root = isqrt(args.stop)
+    if WINDOW_STEP_ROWS * (root // 5 + 1) <= len(ns) * (root // 17 + DECIDE_SETUP_ROWS):
         found = window_representations(args.start, args.stop)
         certs = (certificate_for(classify(n), found.pop(n, [])) for n in ns)
     elif (workers := min(args.jobs, os.cpu_count() or 1, len(ns))) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             certs = list(pool.map(decide, ns, chunksize=64))
     else:

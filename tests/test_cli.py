@@ -178,6 +178,22 @@ def test_reader_closing_early_exits_zero():
     assert err == b""
 
 
+def test_import_loads_no_process_pool():
+    # only sweep's per-N path with --jobs above 1 needs the pool's modules
+    code = (
+        "import sys, twosquares.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 def malformed(edit) -> str:
     """prove 1000009's document with one field broken by edit(doc)."""
     doc = json.loads(certify.certificate_to_json(certify.decide(1000009)))
@@ -286,7 +302,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -298,8 +314,8 @@ def test_sweep_jobs_clamped(capsys, monkeypatch, pool_sizes):
     # 4 CPUs bound a huge --jobs; 3 eligible n bound it further;
     # a pool of one runs serially without a pool
     assert run(capsys, "sweep", lo, hi, "--jobs", "1000000")[1] == serial
-    assert run(capsys, "sweep", "1000001", "1000021", "--jobs", "1000000")[0] == 0
-    assert run(capsys, "sweep", "1000001", "1000001", "--jobs", "1000000")[0] == 0
+    assert run(capsys, "sweep", "1000000000061", "1000000000081", "--jobs", "1000000")[0] == 0
+    assert run(capsys, "sweep", "1000000000061", "1000000000061", "--jobs", "1000000")[0] == 0
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert run(capsys, "sweep", lo, hi, "--jobs", "8")[1] == serial
     assert pool_sizes == [4, 3]

@@ -52,10 +52,10 @@ def test_window_ends_are_sums_of_two_squares(lo, hi):
 @pytest.mark.parametrize(
     "lo, hi, windowed",
     [
-        # 13 eligible N: 13 * (3162 // 17 + 5000) < 32 * isqrt(hi // 2) = 71552
-        (10**7, 10**7 + 128, False),
-        # 14 eligible N cross it
-        (10**7, 10**7 + 129, True),
+        # 3 eligible N: 3 * (3162 // 17 + 7000) = 21558 < 38 * (3162 // 5 + 1) = 24054
+        (10**7, 10**7 + 28, False),
+        # 4 eligible N cross it: 28744
+        (10**7, 10**7 + 29, True),
         (10**12 + 61, 10**12 + 81, False),
     ],
 )

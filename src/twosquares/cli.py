@@ -53,7 +53,7 @@ MAX_CERTIFICATE_BYTES = 2**20
 # sweep's path costs in leaf-sieve rows, timed in one process on one core of
 # a 2-core Xeon: a y-step of the window pass, certificates included, and
 # decide's cost per N before its sqrt(N)/17 rows
-WINDOW_STEP_ROWS, DECIDE_SETUP_ROWS = 38, 7000
+WINDOW_STEP_ROWS, DECIDE_SETUP_ROWS = 130, 33000
 
 
 def _natural(text: str) -> int:

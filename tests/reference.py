@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from itertools import pairwise
 from math import isqrt
 
@@ -10,7 +11,9 @@ from twosquares.arith import check_magnitude
 from twosquares.classify import MIN_ELIGIBLE, eligible_range
 from twosquares.report import _sides, _vertex
 from twosquares.represent import Representation
-from twosquares.scan import ScanBranch, ScanHit
+from twosquares.scan import Quadratic, ScanBranch, ScanHit
+
+SQUARES_MOD_8 = {0, 1, 4}
 
 
 def per_n_sweep(lo: int, hi: int) -> str:
@@ -34,6 +37,41 @@ def annulus_window_representations(lo: int, hi: int) -> dict[int, list[Represent
                 found.setdefault(n, []).append(Representation.of(a, b))
             a += 1
     return found
+
+
+def reference_scan(branch):
+    """Reference for scan_branch: the per-row difference-table walk over
+    every t with Q(t) >= 0, one subtraction per row, mod-8 prefilter,
+    then isqrt.  Returns ([(t, value, root)] by t, ts)."""
+    q = branch.quadratic
+    disc = q.beta * q.beta + 4 * q.gamma * q.m
+    if disc < 0:
+        return [], range(0)
+    r = math.isqrt(disc)
+    ts = range(-((r + q.beta) // (2 * q.gamma)), (r - q.beta) // (2 * q.gamma) + 1)
+    hits = []
+    value = q.value_at(ts.start)
+    diff = q.beta + q.gamma * (2 * ts.start + 1)
+    for t in ts:
+        if value & 7 in SQUARES_MOD_8:
+            root = math.isqrt(value)
+            if root * root == value:
+                hits.append((t, value, root))
+        value -= diff
+        diff += 2 * q.gamma
+    return hits, ts
+
+
+def sieve_survivors(q: Quadratic, ts: range, moduli: list[int]) -> list[int]:
+    """Reference for scan._sieve: the t of ts, in order, at which q(t) is
+    a square mod every one of moduli, by evaluating q(t) at each t."""
+    squares = {p: {j * j % p for j in range(p)} for p in moduli}
+    survivors = []
+    for t in ts:
+        value = q.value_at(t)
+        if all(value % p in squares[p] for p in moduli):
+            survivors.append(t)
+    return survivors
 
 
 def render_difference_table(branch: ScanBranch, ts: range) -> str:

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from reference import SQUARES_MOD_8, reference_scan, sieve_survivors
 
 from twosquares.certify import decide
 from twosquares.classify import classify
@@ -23,32 +24,7 @@ from twosquares.scan import (
     residue_pattern,
     scan_branch,
 )
-from twosquares.scan import _prune_reason
-
-SQUARES_MOD_8 = {0, 1, 4}
-
-
-def reference_scan(branch):
-    """Reference for scan_branch: the per-row difference-table walk over
-    every t with Q(t) >= 0, one subtraction per row, mod-8 prefilter,
-    then isqrt.  Returns ([(t, value, root)] by t, ts)."""
-    q = branch.quadratic
-    disc = q.beta * q.beta + 4 * q.gamma * q.m
-    if disc < 0:
-        return [], range(0)
-    r = math.isqrt(disc)
-    ts = range(-((r + q.beta) // (2 * q.gamma)), (r - q.beta) // (2 * q.gamma) + 1)
-    hits = []
-    value = q.value_at(ts.start)
-    diff = q.beta + q.gamma * (2 * ts.start + 1)
-    for t in ts:
-        if value & 7 in SQUARES_MOD_8:
-            root = math.isqrt(value)
-            if root * root == value:
-                hits.append((t, value, root))
-        value -= diff
-        diff += 2 * q.gamma
-    return hits, ts
+from twosquares.scan import _ROWS_PER_CLASS, _prune_reason, _sieve
 
 
 def reference_prune_reason(q):
@@ -558,3 +534,39 @@ def test_excluded_leaf_returns_its_whole_range():
     for leaf in excluded.values():
         hits, ts = assert_scan_matches_reference(leaf)
         assert hits == [] and len(ts) > 0
+
+
+def nonnegative_ts(q):
+    r = math.isqrt(q.beta * q.beta + 4 * q.gamma * q.m)
+    return range(-((r + q.beta) // (2 * q.gamma)), (r - q.beta) // (2 * q.gamma) + 1)
+
+
+def test_sieve_keeps_exactly_the_residue_survivors():
+    # seeded slices of every scannable leaf of the cap prime, the cap p*q
+    # and the widest certificate's N (whole leaves are too long for the
+    # reference): about 10^5 t, whose last window is cut at a seeded width,
+    # one window and its neighbours, and lengths on each side of 4p rows,
+    # where a modulus p drops out
+    rng = random.Random(720)
+    short = [1, *(_ROWS_PER_CLASS * p + d for p in SIEVE_MODULI[1:] for d in (-1, 0))]
+    for n in (9223372036854775549, 9223371873002223329, 4377825349681037761):
+        for leaf in leaves_of(n).values():
+            if not leaf.scannable:
+                continue
+            q = leaf.quadratic
+            ts = nonnegative_ts(q)
+            long = rng.randrange(10**5, 10**5 + SIEVE_WINDOW)
+            for length in [long, SIEVE_WINDOW - 1, SIEVE_WINDOW, SIEVE_WINDOW + 1, *short]:
+                start = rng.randrange(ts.start, ts.stop - length)
+                part = range(start, start + length)
+                moduli = [p for p in SIEVE_MODULI if p == 16 or length >= _ROWS_PER_CLASS * p]
+                assert list(_sieve(q, part)) == sieve_survivors(q, part, moduli), (n, leaf.name, start, length)
+
+
+def test_sieve_drops_no_t_where_every_value_is_a_residue():
+    # Q(t) = -(L - 1)*t^2 = t^2 mod every modulus, L their product, so every
+    # t survives, and a t lost to a short mask or a cut window shows; over
+    # 253 windows each group's mask takes every shift below its period
+    q = Quadratic(0, 0, math.prod(SIEVE_MODULI) - 1)
+    for ts in (range(-5, 253 * SIEVE_WINDOW + 17), range(7, 7 + SIEVE_WINDOW), range(-3, 50)):
+        assert list(_sieve(q, ts)) == list(ts), ts

@@ -32,13 +32,13 @@ Surviving leaves are scanned over the exact range of t where Q(t) >= 0,
 by an exclusion sieve that carries the mod-8 test on (Gauss's method of
 exclusion, Disquisitiones sec. VI): for each modulus p of SIEVE_MODULI,
 Q(t) mod p depends only on t mod p, so one p-byte pattern per leaf
-marks the t whose value can be a square mod p.  Where a pattern marks
-no t the leaf holds no square at all.  Otherwise the moduli are taken in
-the coprime groups of SIEVE_GROUPS, each tiled once per leaf into one
-mask with the group's product as its period.  The first group, 16*9*5,
-is a wheel of 720 t, the width of a window, so it is the same in every
-window; the other groups' masks are shifted to each window's first t
-and ANDed with it, and only the t that survive every modulus are
+marks the t whose value can be a square mod p.  Every leaf takes every
+modulus, in the coprime groups of SIEVE_GROUPS: each group is tiled once
+per leaf into one mask with the group's product as its period.  Where a
+group's mask is empty the leaf holds no square at all.  The first group,
+16*9*5, is a wheel of 720 t, the width of a window, so it is the same in
+every window; the other groups' masks are shifted to each window's first
+t and ANDed with it, and only the t that survive every modulus are
 evaluated and square-tested exactly with isqrt.  A hit at t gives the
 representation N = x^2 + y^2 with x = scale*t + offset.  The scan keeps
 no rows: the difference tables in report.py are rendered from the
@@ -61,21 +61,16 @@ _REFINABLE_GAMMA = 25
 #: the only squares mod 8; a value outside them is never a perfect square
 SQUARE_RESIDUES_MOD_8 = frozenset({0, 1, 4})
 
-#: moduli of the leaf sieve in coprime groups: 16 sharpens the branch
-#: pruning's mod 8, then 9 and the primes up to 29.  A value is a square
-#: mod a group's product exactly when it is one mod each member (CRT), so
-#: one mask with the product as its period sieves for the whole group
-SIEVE_GROUPS = ((16, 9, 5), (7, 29), (11, 23), (13, 19), (17,))
-SIEVE_MODULI = tuple(p for group in SIEVE_GROUPS for p in group)
+#: (period, moduli) of the leaf sieve's coprime groups: 16 sharpens the
+#: branch pruning's mod 8, then 9 and the primes up to 29.  A value is a
+#: square mod a group's product exactly when it is one mod each member
+#: (CRT), so one mask with the product as its period sieves for the group
+SIEVE_GROUPS = tuple((math.prod(g), g) for g in ((16, 9, 5), (7, 29), (11, 23), (13, 19), (17,)))
+SIEVE_MODULI = tuple(p for _, group in SIEVE_GROUPS for p in group)
 
-#: a modulus sieves a leaf once the leaf has this many rows per class
-#: (mod 16 always does): on shorter leaves its pattern costs more to
-#: build and apply than the square tests it saves
-_ROWS_PER_CLASS = 4
-
-#: t per sieve window: 16*9*5, so the first group's mask (the wheel) is
-#: the same in every window; it must stay a multiple of 720
-SIEVE_WINDOW = 720
+#: t per sieve window: the period of the first group, so its mask (the
+#: wheel of 16*9*5 = 720 t) is the same in every window
+SIEVE_WINDOW = SIEVE_GROUPS[0][0]
 
 
 class PruneReason(Enum):
@@ -240,41 +235,33 @@ def residue_pattern(p: int, m: int, beta: int, gamma: int) -> bytes:
     return bytes([(m - beta * k - gamma * k * k) % p in squares for k in range(p)])
 
 
-@cache
-def _sieve_groups(rows: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(period, kept moduli) of each group of SIEVE_GROUPS, for a leaf of
-    this many rows: a group's period is the product of the moduli it keeps.
-    _sieve caps rows where every modulus is kept, so the cache stays small."""
-    groups = (tuple(p for p in group if p == 16 or rows >= _ROWS_PER_CLASS * p) for group in SIEVE_GROUPS)
-    return tuple((math.prod(kept), kept) for kept in groups)
-
-
 def _sieve(q: Quadratic, ts: range) -> Iterator[int]:
     """Yield, in order, the t of ts at which q(t) is a square mod every
-    modulus of SIEVE_MODULI that ts is long enough for.
+    modulus of SIEVE_MODULI.
 
-    Each group's kept members are rotated to ts.start, tiled and ANDed
-    into one int of period their product, once per call.  The window at
-    lo then ANDs each group's int shifted by (lo - ts.start) mod its
-    period, in bytes, and the last window is cut to its width.  Nothing
-    is yielded when a pattern is all zero: no t can be a square.
+    Each group's members are tiled from ts.start and ANDed into one int
+    of period their product, once per call.  The window at lo then ANDs
+    each group's int shifted by (lo - ts.start) mod its period, in bytes,
+    and the last window is cut to its width.  Nothing is yielded when a
+    group's int is zero: no t of ts survives that group.
     """
     if not ts:
         return
     m, beta, gamma = q.m, q.beta, q.gamma
     window = min(SIEVE_WINDOW, len(ts))
     tiles = []
-    for period, kept in _sieve_groups(min(len(ts), _ROWS_PER_CLASS * max(SIEVE_MODULI))):
-        # the first group, the wheel, never shifts: its period divides the
+    for period, group in SIEVE_GROUPS:
+        # the first group, the wheel, never shifts: its period is the
         # window; a group shifted per window needs period - 1 more bytes
         size = window + period - 1 if tiles and len(ts) > window else window
         tiled = -1
-        for p in kept:
+        for p in group:
             pattern = residue_pattern(p, m % p, beta % p, gamma % p)
-            if 1 not in pattern:
-                return
             k = ts.start % p
-            tiled &= int.from_bytes(((pattern[k:] + pattern[:k]) * (size // p + 1))[:size], "little")
+            tiled &= int.from_bytes((pattern * (size // p + 2))[k : k + size], "little")
+        # at least a period of bytes, or all of ts: zero rules the leaf out
+        if not tiled:
+            return
         tiles.append((tiled, period))
     (wheel, _), *tiles = tiles
     for lo in range(ts.start, ts.stop, window):
@@ -301,9 +288,9 @@ def scan_branch(branch: ScanBranch) -> tuple[list[ScanHit], range]:
     ts is sieved, not walked: _sieve tiles each group of SIEVE_GROUPS
     into one mask once per leaf, and over windows of 720 t ANDs the
     wheel of 16*9*5 with the other groups' masks, each shifted to the
-    window's first t.  Only the t that survive every modulus the leaf
-    is long enough for are evaluated and tested with isqrt; none do
-    when one residue_pattern is all zero.
+    window's first t.  Only the t that survive every modulus are
+    evaluated and tested with isqrt; none are when a group's mask is
+    empty, which rules the leaf out.
     """
     q = branch.quadratic
     m, beta, gamma = q.m, q.beta, q.gamma

@@ -49,6 +49,8 @@ TREE_TESTS = (
     "tests/test_scan.py::test_tree_matches_the_substitution_reference",
     "tests/test_scan.py::test_refine_worked_composite",
 )
+SWEEP = "tests/test_sweep.py"
+ANNULUS = f"{SWEEP}::test_window_representations_match_the_annulus_pass"
 
 MUTANTS = [
     Mutant(
@@ -101,17 +103,17 @@ MUTANTS = [
         (ALL_RESIDUES,),
     ),
     Mutant(
-        "the row cap below 4 rows per class of 29",
+        "an empty group mask read from its first byte only",
         "twosquares/scan.py",
-        "_ROWS_PER_CLASS * max(SIEVE_MODULI)",
-        "_ROWS_PER_CLASS * 23",
-        (SIEVE_TESTS[0],),
+        "if not tiled:",
+        "if not tiled & 255:",
+        SIEVE_TESTS,
     ),
     Mutant(
-        "SIEVE_WINDOW not a multiple of 720",
+        "SIEVE_WINDOW not the wheel's period",
         "twosquares/scan.py",
-        "SIEVE_WINDOW = 720",
-        "SIEVE_WINDOW = 700",
+        "SIEVE_WINDOW = SIEVE_GROUPS[0][0]",
+        "SIEVE_WINDOW = SIEVE_GROUPS[0][0] - 20",
         SIEVE_TESTS,
     ),
     Mutant(
@@ -134,6 +136,58 @@ MUTANTS = [
         ', _branch(n, names["e2"], 4 * s, 2 * s + o)]',
         "]",
         ("tests/test_scan.py::test_tree_matches_the_substitution_reference",),
+    ),
+    Mutant(
+        "the window pass without its final sort",
+        "twosquares/represent.py",
+        "reps.sort(key=lambda r: -r.a)",
+        "pass",
+        (ANNULUS, f"{SWEEP}::test_window_representations_match_the_scan"),
+    ),
+    Mutant(
+        "the window pass's y from 5",
+        "twosquares/represent.py",
+        "range(0, isqrt(hi) + 1, 5)",
+        "range(5, isqrt(hi) + 1, 5)",
+        (ANNULUS, f"{SWEEP}::test_window_pass_matches_per_n_sweep"),
+    ),
+    Mutant(
+        "the window pass's y below sqrt(hi)",
+        "twosquares/represent.py",
+        "range(0, isqrt(hi) + 1, 5)",
+        "range(0, isqrt(hi), 5)",
+        (
+            ANNULUS,
+            f"{SWEEP}::test_window_ends_are_sums_of_two_squares",
+            f"{SWEEP}::test_window_pass_matches_per_n_sweep",
+        ),
+    ),
+    Mutant(
+        "the window pass's x from sqrt(lo - y^2)",
+        "twosquares/represent.py",
+        "isqrt(lo - yy - 1) + 1 if lo > yy else 0",
+        "isqrt(lo - yy) if lo > yy else 0",
+        (ANNULUS, f"{SWEEP}::test_window_representations_match_the_scan"),
+    ),
+    Mutant(
+        "the window pass's x below sqrt(hi - y^2)",
+        "twosquares/represent.py",
+        "isqrt(hi - yy) + 1)",
+        "isqrt(hi - yy))",
+        (
+            ANNULUS,
+            f"{SWEEP}::test_window_ends_are_sums_of_two_squares",
+            f"{SWEEP}::test_window_pass_matches_per_n_sweep",
+            f"{SWEEP}::test_path_rule_crossover",
+            f"{SWEEP}::test_window_representations_match_the_scan",
+        ),
+    ),
+    Mutant(
+        "the window pass's lo floor at 1",
+        "twosquares/represent.py",
+        "lo = max(lo, MIN_ELIGIBLE)",
+        "lo = max(lo, 1)",
+        (ANNULUS,),
     ),
 ]
 

@@ -62,7 +62,7 @@ def reference_scan(branch):
     return hits, ts
 
 
-def sieve_survivors(q: Quadratic, ts: range, moduli: list[int]) -> list[int]:
+def sieve_survivors(q: Quadratic, ts: range, moduli: tuple[int, ...]) -> list[int]:
     """Reference for scan._sieve: the t of ts, in order, at which q(t) is
     a square mod every one of moduli, by evaluating q(t) at each t."""
     squares = {p: {j * j % p for j in range(p)} for p in moduli}

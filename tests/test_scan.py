@@ -24,7 +24,7 @@ from twosquares.scan import (
     residue_pattern,
     scan_branch,
 )
-from twosquares.scan import _ROWS_PER_CLASS, _prune_reason, _sieve
+from twosquares.scan import _prune_reason, _sieve
 
 
 def reference_prune_reason(q):
@@ -531,9 +531,16 @@ def test_excluded_leaf_returns_its_whole_range():
                 if 1 not in residue_pattern(p, q.m % p, q.beta % p, q.gamma % p):
                     excluded.setdefault(p, leaf)
     assert 16 in excluded and set(excluded) - {16}
-    for leaf in excluded.values():
+    # and a one-window leaf, Q(t) = 432 - t^2 on |t| <= 20, where every
+    # pattern marks some t but no t of the leaf survives the wheel
+    short = synthetic(432, 0, 1)
+    q = short.quadratic
+    assert all(1 in residue_pattern(p, q.m % p, q.beta % p, q.gamma % p) for p in SIEVE_MODULI)
+    assert sieve_survivors(q, nonnegative_ts(q), (16, 9, 5)) == []
+    for leaf in [*excluded.values(), short]:
         hits, ts = assert_scan_matches_reference(leaf)
         assert hits == [] and len(ts) > 0
+        assert list(_sieve(leaf.quadratic, ts)) == []
 
 
 def nonnegative_ts(q):
@@ -545,10 +552,11 @@ def test_sieve_keeps_exactly_the_residue_survivors():
     # seeded slices of every scannable leaf of the cap prime, the cap p*q
     # and the widest certificate's N (whole leaves are too long for the
     # reference): about 10^5 t, whose last window is cut at a seeded width,
-    # one window and its neighbours, and lengths on each side of 4p rows,
-    # where a modulus p drops out
+    # one window and its neighbours, and short slices of 1, 4p - 1 and 4p t
+    # for each p but 16, a single window shorter than most groups' periods;
+    # every length takes every modulus
     rng = random.Random(720)
-    short = [1, *(_ROWS_PER_CLASS * p + d for p in SIEVE_MODULI[1:] for d in (-1, 0))]
+    short = [1, *(4 * p + d for p in SIEVE_MODULI[1:] for d in (-1, 0))]
     for n in (9223372036854775549, 9223371873002223329, 4377825349681037761):
         for leaf in leaves_of(n).values():
             if not leaf.scannable:
@@ -559,8 +567,14 @@ def test_sieve_keeps_exactly_the_residue_survivors():
             for length in [long, SIEVE_WINDOW - 1, SIEVE_WINDOW, SIEVE_WINDOW + 1, *short]:
                 start = rng.randrange(ts.start, ts.stop - length)
                 part = range(start, start + length)
-                moduli = [p for p in SIEVE_MODULI if p == 16 or length >= _ROWS_PER_CLASS * p]
-                assert list(_sieve(q, part)) == sieve_survivors(q, part, moduli), (n, leaf.name, start, length)
+                survivors = sieve_survivors(q, part, SIEVE_MODULI)
+                assert list(_sieve(q, part)) == survivors, (n, leaf.name, start, length)
+                # each shorter length again, ending on the last survivor, so
+                # that a t lost at the end of a range shows
+                if survivors and length < long:
+                    part = range(survivors[-1] + 1 - length, survivors[-1] + 1)
+                    survivors = sieve_survivors(q, part, SIEVE_MODULI)
+                    assert list(_sieve(q, part)) == survivors, (n, leaf.name, part)
 
 
 def test_sieve_drops_no_t_where_every_value_is_a_residue():

@@ -10,12 +10,16 @@ that produced the certificate.
 
 Certificates serialize to JSON with integers as decimal strings (no
 consumer precision loss) and a fixed key order, so a document
-round-trips byte-identically.
+round-trips byte-identically.  canonical_lines() spells that one
+encoding directly, in the bytes of json's two-space indent; it builds
+no encoder, so each certificate it writes leaves nothing in reference
+cycles for the garbage collector.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, isqrt
@@ -128,26 +132,45 @@ def verify(cert: Certificate) -> bool:
 _WITNESS_INTEGERS = ("a", "b", "c", "d", "u", "v", "k", "l", "m", "n", "f1", "f2")
 
 
-def _rep_to_json(rep: Representation) -> dict:
-    return {"a": str(rep.a), "b": str(rep.b), "coprime": rep.coprime}
+def _rep_object(rep: Representation) -> str:
+    """A representation as an object from its "{", at the depth where
+    the certificate lists one: in representations or in the witness."""
+    coprime = "true" if rep.coprime else "false"
+    return f'{{\n      "a": "{rep.a}",\n      "b": "{rep.b}",\n      "coprime": {coprime}\n    }}'
 
 
-def _witness_to_json(w: TwoRepWitness) -> dict:
-    out = {"rep1": _rep_to_json(w.rep1), "rep2": _rep_to_json(w.rep2)}
-    return out | {f: str(getattr(w, f)) for f in _WITNESS_INTEGERS}
+def canonical_lines(cert: Certificate) -> Iterator[str]:
+    """The certificate's one encoding, in pieces of whole lines: the
+    bytes json.dumps(doc, indent=2) gives for its document, every
+    integer a decimal string, and a final newline.
+
+    Only notes and method_version, which a parsed certificate may carry
+    as any string, go through json's string encoder; the rest is spelled
+    here, so no encoder and none of its reference cycles are built.
+    """
+    yield f'{{\n  "n": "{cert.n}",\n  "verdict": "{cert.verdict.value}",\n'
+    if cert.representations:
+        reps = ",\n    ".join(_rep_object(r) for r in cert.representations)
+        yield f'  "representations": [\n    {reps}\n  ],\n'
+    else:
+        yield '  "representations": [],\n'
+    if cert.factors:
+        factors = ",\n".join(f'    "{f}"' for f in cert.factors)
+        yield f'  "factors": [\n{factors}\n  ],\n'
+    else:
+        yield '  "factors": null,\n'
+    if w := cert.witness:
+        fields = "".join(f',\n    "{f}": "{getattr(w, f)}"' for f in _WITNESS_INTEGERS)
+        rep1, rep2 = _rep_object(w.rep1), _rep_object(w.rep2)
+        yield f'  "witness": {{\n    "rep1": {rep1},\n    "rep2": {rep2}{fields}\n  }},\n'
+    else:
+        yield '  "witness": null,\n'
+    yield f'  "notes": {json.dumps(cert.notes)},\n'
+    yield f'  "method_version": {json.dumps(cert.method_version)}\n}}\n'
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    doc = {
-        "n": str(cert.n),
-        "verdict": cert.verdict.value,
-        "representations": [_rep_to_json(r) for r in cert.representations],
-        "factors": [str(f) for f in cert.factors] if cert.factors else None,
-        "witness": _witness_to_json(cert.witness) if cert.witness else None,
-        "notes": cert.notes,
-        "method_version": cert.method_version,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return "".join(canonical_lines(cert))
 
 
 def _parse_int(value, what: str) -> int:

@@ -53,7 +53,7 @@ MAX_CERTIFICATE_BYTES = 2**20
 # sweep's path costs in leaf-sieve rows, timed in one process on one core of
 # a 2-core Xeon: a y-step of the window pass, certificates included, and
 # decide's cost per N before its sqrt(N)/17 rows
-WINDOW_STEP_ROWS, DECIDE_SETUP_ROWS = 130, 33000
+WINDOW_STEP_ROWS, DECIDE_SETUP_ROWS = 620, 105000
 
 
 def _natural(text: str) -> int:
@@ -106,15 +106,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     n, elig = args.n, classify(args.n)
     roots = [str(r) for r in elig.roots_mod25]
     if args.format == "json":
-        doc = {
-            "n": str(n),
-            "status": elig.status.value,
-            "n_mod4": str(n % 4),
-            "last_digit": str(n % 10),
-            "n_mod25": str(n % 25),
-            "roots_mod25": roots,
-        }
-        pieces = [json.dumps(doc, indent=2), "\n"]
+        # the bytes json.dumps(doc, indent=2) + "\n" gives: every value is
+        # a decimal string or a status name, so nothing needs escaping
+        listed = ",\n    ".join(f'"{r}"' for r in roots)
+        pieces = [
+            f'{{\n  "n": "{n}",\n  "status": "{elig.status.value}",\n  "n_mod4": "{n % 4}",\n',
+            f'  "last_digit": "{n % 10}",\n  "n_mod25": "{n % 25}",\n',
+            f'  "roots_mod25": [\n    {listed}\n  ]\n}}\n' if roots else '  "roots_mod25": []\n}\n',
+        ]
     else:
         pieces = [
             f"n = {n}\n",

@@ -30,19 +30,16 @@ non-residue pattern), and neither refined nor scanned.
 
 Surviving leaves are scanned over the exact range of t where Q(t) >= 0,
 by an exclusion sieve that carries the mod-8 test on (Gauss's method of
-exclusion, Disquisitiones sec. VI): for each modulus p of SIEVE_MODULI,
-Q(t) mod p depends only on t mod p, so one p-byte pattern per leaf
-marks the t whose value can be a square mod p.  Every leaf takes every
-modulus, in the coprime groups of SIEVE_GROUPS: each group is tiled once
-per leaf into one mask with the group's product as its period.  Where a
-group's mask is empty the leaf holds no square at all.  The first group,
-16*9*5, is a wheel of 720 t, the width of a window, so it is the same in
-every window; the other groups' masks are shifted to each window's first
-t and ANDed with it, and only the t that survive every modulus are
-evaluated and square-tested exactly with isqrt.  A hit at t gives the
-representation N = x^2 + y^2 with x = scale*t + offset.  The scan keeps
-no rows: the difference tables in report.py are rendered from the
-covered range.
+exclusion, Disquisitiones sec. VI): Q(t) mod p depends only on t mod p,
+so for each of the 14 moduli p of SIEVE_MODULI one p-bit pattern marks
+the t whose value can be a square mod p.  Each coprime group of
+SIEVE_GROUPS is tiled once per leaf into one int, one bit per t, with
+the group's product as its period.  Over windows of 2880 t, four turns
+of the 16*9*5 wheel, the wheel never shifts and the other groups are
+shifted to the window's first t; only the t that survive every modulus
+are square-tested exactly with isqrt.  A hit at t gives N = x^2 + y^2
+with x = scale*t + offset.  The scan keeps no rows: report.py renders
+the difference tables from the covered range.
 """
 
 from __future__ import annotations
@@ -62,15 +59,16 @@ _REFINABLE_GAMMA = 25
 SQUARE_RESIDUES_MOD_8 = frozenset({0, 1, 4})
 
 #: (period, moduli) of the leaf sieve's coprime groups: 16 sharpens the
-#: branch pruning's mod 8, then 9 and the primes up to 29.  A value is a
+#: branch pruning's mod 8, then 9 and the primes up to 43.  A value is a
 #: square mod a group's product exactly when it is one mod each member
 #: (CRT), so one mask with the product as its period sieves for the group
-SIEVE_GROUPS = tuple((math.prod(g), g) for g in ((16, 9, 5), (7, 29), (11, 23), (13, 19), (17,)))
+_GROUPS = ((16, 9, 5), (7, 29), (11, 23), (13, 19), (17,), (31, 37), (41, 43))
+SIEVE_GROUPS = tuple((math.prod(g), g) for g in _GROUPS)
 SIEVE_MODULI = tuple(p for _, group in SIEVE_GROUPS for p in group)
 
-#: t per sieve window: the period of the first group, so its mask (the
+#: t per sieve window: four periods of the first group, so its mask (the
 #: wheel of 16*9*5 = 720 t) is the same in every window
-SIEVE_WINDOW = SIEVE_GROUPS[0][0]
+SIEVE_WINDOW = 4 * SIEVE_GROUPS[0][0]
 
 
 class PruneReason(Enum):
@@ -223,58 +221,80 @@ def expand_branches(root: ScanBranch, *, respect_pruning: bool = True) -> list[S
 
 
 @cache
-def residue_pattern(p: int, m: int, beta: int, gamma: int) -> bytes:
-    """Byte k is 1 when m - beta*k - gamma*k^2, coefficients taken mod p,
+def residue_pattern(p: int, m: int, beta: int, gamma: int) -> int:
+    """Bit k is set when m - beta*k - gamma*k^2, coefficients taken mod p,
     is a square mod p.
 
-    A quadratic with integer coefficients has Q(t) mod p equal to this
-    at k = t mod p, so a t whose byte is 0 never makes Q(t) a perfect
-    square.  The cache holds at most p^3 patterns per modulus.
+    Q(t) mod p is this at k = t mod p, so a t whose bit is clear never
+    makes Q(t) a perfect square.  The cache holds at most p^3 patterns
+    per modulus, 286,021 over SIEVE_MODULI.
     """
     squares = {j * j % p for j in range(p)}
-    return bytes([(m - beta * k - gamma * k * k) % p in squares for k in range(p)])
+    return sum(1 << k for k in range(p) if (m - beta * k - gamma * k * k) % p in squares)
+
+
+#: per modulus p, the factor that repeats a p-bit pattern past a window
+#: and its group's period, the most any window shifts it, plus p bits for
+#: the pattern's own rotation: the sum of 2^(p*j) over j < turns
+_REPEATS = {
+    p: ((1 << p * ((SIEVE_WINDOW + period) // p + 2)) - 1) // ((1 << p) - 1)
+    for period, group in SIEVE_GROUPS for p in group
+}
+
+#: bits in the longest pattern, more than any rotation shifts one
+_LONGEST_PATTERN = max(SIEVE_MODULI)
+
+#: the set bits of each byte value in order, built one bit at a time, and
+#: a table taking nonzero bytes to 1
+_BIT_OFFSETS = [()]
+for _bit in range(8):
+    _BIT_OFFSETS += [offsets + (_bit,) for offsets in _BIT_OFFSETS]
+del _bit
+_NONZERO = bytes(1) + bytes([1]) * 255
 
 
 def _sieve(q: Quadratic, ts: range) -> Iterator[int]:
-    """Yield, in order, the t of ts at which q(t) is a square mod every
-    modulus of SIEVE_MODULI.
+    """Yield, in order, the t of ts at which q(t) is a square mod each of
+    the 14 moduli of SIEVE_MODULI.
 
-    Each group's members are tiled from ts.start and ANDed into one int
-    of period their product, once per call.  The window at lo then ANDs
-    each group's int shifted by (lo - ts.start) mod its period, in bytes,
-    and the last window is cut to its width.  Nothing is yielded when a
-    group's int is zero: no t of ts survives that group.
+    Bit i of each int is t = ts.start + i.  Each member's p-bit pattern
+    is repeated by one multiply, rotated to ts.start and ANDed into one
+    int per group, once per call.  Over windows of SIEVE_WINDOW = 2880 t
+    the wheel, whose period divides the window, never shifts; the window
+    at lo ANDs it with each other group shifted right by (lo - ts.start)
+    mod its period.  On a one-window leaf every group ANDs into the
+    wheel, which ends the leaf once it is empty.  A window's survivors
+    are read a byte at a time: translate marks the nonzero bytes, find
+    jumps to each in C, and _BIT_OFFSETS lists the byte's set bits.
     """
-    if not ts:
-        return
     m, beta, gamma = q.m, q.beta, q.gamma
     window = min(SIEVE_WINDOW, len(ts))
-    tiles = []
+    wheel, tiles = (1 << window) - 1, []
+    # a one-window leaf reads window + p - 1 bits of a repeated pattern,
+    # so it multiplies by no more of the repeat factor than that
+    cut = -1 if len(ts) > window else (1 << window + _LONGEST_PATTERN) - 1
     for period, group in SIEVE_GROUPS:
-        # the first group, the wheel, never shifts: its period is the
-        # window; a group shifted per window needs period - 1 more bytes
-        size = window + period - 1 if tiles and len(ts) > window else window
         tiled = -1
         for p in group:
             pattern = residue_pattern(p, m % p, beta % p, gamma % p)
-            k = ts.start % p
-            tiled &= int.from_bytes((pattern * (size // p + 2))[k : k + size], "little")
-        # at least a period of bytes, or all of ts: zero rules the leaf out
-        if not tiled:
+            tiled &= pattern * (_REPEATS[p] & cut) >> ts.start % p
+        if len(ts) > window and SIEVE_WINDOW % period:
+            tiles.append((tiled, period))
+        elif not (wheel := wheel & tiled):
             return
-        tiles.append((tiled, period))
-    (wheel, _), *tiles = tiles
     for lo in range(ts.start, ts.stop, window):
-        mask = wheel
+        mask = wheel if ts.stop - lo >= window else wheel & (1 << ts.stop - lo) - 1
         for tiled, period in tiles:
-            mask &= tiled >> 8 * ((lo - ts.start) % period)
-        survivors = mask.to_bytes(window, "little")[: ts.stop - lo]
-        # find jumps to the next survivor in C; compress(range(...), mask)
-        # would make a Python int for every t and cost twice the scan
-        i = survivors.find(1)
+            mask &= tiled >> (lo - ts.start) % period
+        if not mask:
+            continue
+        survivors = mask.to_bytes((window + 7) // 8, "little")
+        nonzero = survivors.translate(_NONZERO)
+        i = nonzero.find(1)
         while i >= 0:
-            yield lo + i
-            i = survivors.find(1, i + 1)
+            for b in _BIT_OFFSETS[survivors[i]]:
+                yield lo + 8 * i + b
+            i = nonzero.find(1, i + 1)
 
 
 def scan_branch(branch: ScanBranch) -> tuple[list[ScanHit], range]:
@@ -285,12 +305,9 @@ def scan_branch(branch: ScanBranch) -> tuple[list[ScanHit], range]:
     Since 4*gamma*Q(t) = beta^2 + 4*gamma*m - (2*gamma*t + beta)^2, that
     range is |2*gamma*t + beta| <= isqrt(beta^2 + 4*gamma*m).
 
-    ts is sieved, not walked: _sieve tiles each group of SIEVE_GROUPS
-    into one mask once per leaf, and over windows of 720 t ANDs the
-    wheel of 16*9*5 with the other groups' masks, each shifted to the
-    window's first t.  Only the t that survive every modulus are
-    evaluated and tested with isqrt; none are when a group's mask is
-    empty, which rules the leaf out.
+    ts is sieved, not walked: only the t that _sieve keeps after all 14
+    moduli, one bit per t over windows of 2880 t, are evaluated and
+    tested with isqrt.
     """
     q = branch.quadratic
     m, beta, gamma = q.m, q.beta, q.gamma

@@ -6,14 +6,16 @@ Run from anywhere, with the test dependencies installed:
 
 Each entry names a file under src/, one exact snippet of it, its
 replacement, and the tests that must fail once it is made.  For each
-entry the script copies src/ into a temporary directory, applies the
-edit there and runs those tests in a child process against the copy.
-It first runs every named test on an unedited copy, which must pass.
-It exits 1 when a named test passes under its mutant (the mutant
-survives), when a snippet does not occur exactly once in its file, or
-when the unedited copy fails; else 0.  Only the standard library is
-used here; the tests themselves run under pytest.  The name does not
-start with test_, so the tier-1 run does not collect this file.
+entry the script copies src/ into a temporary directory of its own,
+applies the edit there and runs those tests in a child process against
+the copy.  Every named test also runs on an unedited copy, which must
+pass.  Up to os.cpu_count() children run at once, and the mutants are
+reported in the order they are listed.  It exits 1 when a named test
+passes under its mutant (the mutant survives), when a snippet does not
+occur exactly once in its file, or when the unedited copy fails; else
+0.  Only the standard library is used here; the tests themselves run
+under pytest.  The name does not start with test_, so the tier-1 run
+does not collect this file.
 
 A mutant moves in the same change as the code it edits.
 """
@@ -26,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -45,10 +48,14 @@ SIEVE_TESTS = (
     "tests/test_scan.py::test_sieve_matches_reference_scan_on_every_leaf",
 )
 ALL_RESIDUES = "tests/test_scan.py::test_sieve_drops_no_t_where_every_value_is_a_residue"
+EARLY_EXIT = "tests/test_scan.py::test_sieve_stops_a_one_window_leaf_at_its_first_empty_group"
+FIRST_WINDOW_EMPTY = "tests/test_scan.py::test_sieve_reads_every_window_of_a_leaf_whose_first_is_empty"
 TREE_TESTS = (
     "tests/test_scan.py::test_tree_matches_the_substitution_reference",
     "tests/test_scan.py::test_refine_worked_composite",
 )
+CERTIFY = "tests/test_certify.py"
+ENCODING = f"{CERTIFY}::test_encoding_matches_the_indenting_encoder"
 SWEEP = "tests/test_sweep.py"
 ANNULUS = f"{SWEEP}::test_window_representations_match_the_annulus_pass"
 
@@ -61,59 +68,73 @@ MUTANTS = [
         ("tests/test_scan.py::test_residue_patterns_exclude_only_non_squares", *SIEVE_TESTS),
     ),
     Mutant(
-        "a pattern rotated off by one",
+        "a pattern rotated off by one bit",
         "twosquares/scan.py",
-        "k = ts.start % p",
-        "k = (ts.start + 1) % p",
+        ">> ts.start % p",
+        ">> (ts.start + 1) % p",
         SIEVE_TESTS,
     ),
     Mutant(
-        "the last window shortened by one",
+        "the last window masked one bit short",
         "twosquares/scan.py",
-        '[: ts.stop - lo]',
-        '[: ts.stop - lo - 1]',
-        (*SIEVE_TESTS, ALL_RESIDUES),
+        "wheel & (1 << ts.stop - lo) - 1",
+        "wheel & (1 << ts.stop - lo - 1) - 1",
+        (SIEVE_TESTS[0], ALL_RESIDUES),
     ),
     Mutant(
         "the last t of every full window dropped",
         "twosquares/scan.py",
-        '[: ts.stop - lo]',
-        '[: min(ts.stop - lo, window - 1)]',
+        "wheel, tiles = (1 << window) - 1, []",
+        "wheel, tiles = (1 << window - 1) - 1, []",
         (SIEVE_TESTS[0], ALL_RESIDUES),
     ),
     Mutant(
-        "the last t of every window dropped",
+        "a group shifted one bit off",
         "twosquares/scan.py",
-        '[: ts.stop - lo]',
-        '[: ts.stop - lo][:-1]',
-        (*SIEVE_TESTS, ALL_RESIDUES),
-    ),
-    Mutant(
-        "a group shifted one byte off",
-        "twosquares/scan.py",
-        "tiled >> 8 * ((lo - ts.start) % period)",
-        "tiled >> 8 * ((lo - ts.start + 1) % period)",
+        "tiled >> (lo - ts.start) % period",
+        "tiled >> (lo - ts.start + 1) % period",
         SIEVE_TESTS,
     ),
     Mutant(
-        "a tiled int one byte short",
+        "a pattern repeated one turn short of a window, its period and a rotation",
         "twosquares/scan.py",
-        "size = window + period - 1 if",
-        "size = window + period - 2 if",
+        "(SIEVE_WINDOW + period) // p + 2",
+        "(SIEVE_WINDOW + period) // p + 1",
         (ALL_RESIDUES,),
     ),
     Mutant(
-        "an empty group mask read from its first byte only",
+        "a one-window leaf's repeat factor cut at its width",
         "twosquares/scan.py",
-        "if not tiled:",
-        "if not tiled & 255:",
+        "(1 << window + _LONGEST_PATTERN) - 1",
+        "(1 << window) - 1",
+        (SIEVE_TESTS[0], ALL_RESIDUES),
+    ),
+    Mutant(
+        "a byte's survivors read high bit first",
+        "twosquares/scan.py",
+        "offsets + (_bit,)",
+        "(_bit,) + offsets",
         SIEVE_TESTS,
     ),
     Mutant(
-        "SIEVE_WINDOW not the wheel's period",
+        "the one-window early exit taken on a leaf of a window and one t",
         "twosquares/scan.py",
-        "SIEVE_WINDOW = SIEVE_GROUPS[0][0]",
-        "SIEVE_WINDOW = SIEVE_GROUPS[0][0] - 20",
+        "if len(ts) > window and SIEVE_WINDOW % period:",
+        "if len(ts) > window + 1 and SIEVE_WINDOW % period:",
+        (FIRST_WINDOW_EMPTY,),
+    ),
+    Mutant(
+        "a one-window leaf that builds every group",
+        "twosquares/scan.py",
+        "if len(ts) > window and SIEVE_WINDOW % period:",
+        "if SIEVE_WINDOW % period:",
+        (EARLY_EXIT,),
+    ),
+    Mutant(
+        "an empty wheel read from its first byte only",
+        "twosquares/scan.py",
+        "elif not (wheel := wheel & tiled):",
+        "elif not (wheel := wheel & tiled) & 255:",
         SIEVE_TESTS,
     ),
     Mutant(
@@ -136,6 +157,69 @@ MUTANTS = [
         ', _branch(n, names["e2"], 4 * s, 2 * s + o)]',
         "]",
         ("tests/test_scan.py::test_tree_matches_the_substitution_reference",),
+    ),
+    Mutant(
+        "coprime spelled from b, not from the coprime flag",
+        "twosquares/certify.py",
+        '"true" if rep.coprime else "false"',
+        '"true" if rep.b else "false"',
+        (ENCODING,),
+    ),
+    Mutant(
+        "the witness's last integer field dropped",
+        "twosquares/certify.py",
+        "getattr(w, f)}\"' for f in _WITNESS_INTEGERS)",
+        "getattr(w, f)}\"' for f in _WITNESS_INTEGERS[:-1])",
+        (ENCODING, f"{CERTIFY}::test_serialization_roundtrip_byte_identical"),
+    ),
+    Mutant(
+        "notes written without json's escapes",
+        "twosquares/certify.py",
+        "{json.dumps(cert.notes)}",
+        "\"{cert.notes}\"",
+        (ENCODING,),
+    ),
+    Mutant(
+        "certificate_from_json not catching ValueError",
+        "twosquares/certify.py",
+        "except (ValueError, RecursionError) as exc:",
+        "except RecursionError as exc:",
+        (f"{CERTIFY}::test_parse_rejects_malformed",),
+    ),
+    Mutant(
+        "verify comparing only n",
+        "twosquares/certify.py",
+        "if cert != certificate_for(elig, oracle):",
+        "if cert.n != certificate_for(elig, oracle).n:",
+        (
+            f"{CERTIFY}::test_verify_rejects_coprime_flag_tamper",
+            f"{CERTIFY}::test_verify_accepts_only_the_oracle_certificate",
+            f"{CERTIFY}::test_random_mutations_rejected",
+        ),
+    ),
+    Mutant(
+        "verify without its primality re-check",
+        "twosquares/certify.py",
+        "and not _is_prime_trial(n):",
+        "and False:",
+        (f"{CERTIFY}::test_verify_rechecks_primality_by_trial_division",),
+    ),
+    Mutant(
+        "verify without its factor re-check",
+        "twosquares/certify.py",
+        "if not (1 < f1 <= f2 < n and f1 * f2 == n):",
+        "if False:",
+        (f"{CERTIFY}::test_verify_rechecks_the_factor_range",),
+    ),
+    Mutant(
+        "verify without its witness re-check",
+        "twosquares/certify.py",
+        "return cert.witness is None or witness_violation(n, cert.witness) is None",
+        "return True",
+        (
+            f"{CERTIFY}::test_verify_rechecks_every_witness_field",
+            f"{CERTIFY}::test_verify_rechecks_the_witness_represents_n",
+        ),
     ),
     Mutant(
         "the window pass without its final sort",
@@ -210,32 +294,38 @@ def run_tests(src: Path, tests: tuple[str, ...], report: Path) -> dict[str, bool
         for case in ET.parse(report).iter("testcase"):
             test = f"tests/{case.get('classname').rpartition('.')[2]}.py::{case.get('name').partition('[')[0]}"
             results.setdefault(test, []).append(not any(c.tag in ("failure", "error", "skipped") for c in case))
-        report.unlink()
     return {test: bool(results.get(test)) and all(results[test]) for test in tests}
 
 
-def main() -> int:
-    failures = []
+def check(mutant: Mutant | None) -> tuple[str | None, list[str]]:
+    """Run one mutant in its own copy of src/, or with None every named
+    test on an unedited copy; returns its report line and its failures."""
     with tempfile.TemporaryDirectory() as tmp:
         src, report = Path(tmp) / "src", Path(tmp) / "report.xml"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-        every_test = tuple(dict.fromkeys(t for mutant in MUTANTS for t in mutant.tests))
-        baseline = run_tests(src, every_test, report)
-        failures += [f"unedited copy: {t} does not pass" for t, ok in baseline.items() if not ok]
-        for mutant in MUTANTS:
-            target = src / mutant.path
-            text = target.read_text()
-            if text.count(mutant.old) != 1:
-                failures.append(f"{mutant.name}: snippet found {text.count(mutant.old)} times in {mutant.path}")
-                continue
-            target.write_text(text.replace(mutant.old, mutant.new))
-            try:
-                result = run_tests(src, mutant.tests, report)
-            finally:
-                target.write_text(text)
-            survived = [t for t, ok in result.items() if ok]
-            print(f"{'SURVIVED' if survived else 'killed'}: {mutant.name}")
-            failures += [f"{mutant.name}: {t} passes" for t in survived]
+        if mutant is None:
+            every_test = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+            result = run_tests(src, every_test, report)
+            return None, [f"unedited copy: {t} does not pass" for t, ok in result.items() if not ok]
+        target = src / mutant.path
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return None, [f"{mutant.name}: snippet found {text.count(mutant.old)} times in {mutant.path}"]
+        target.write_text(text.replace(mutant.old, mutant.new))
+        survived = [t for t, ok in run_tests(src, mutant.tests, report).items() if ok]
+    line = f"{'SURVIVED' if survived else 'killed'}: {mutant.name}"
+    return line, [f"{mutant.name}: {t} passes" for t in survived]
+
+
+def main() -> int:
+    # each child pytest mostly waits on its own start-up, so up to one per
+    # CPU runs at once; map reports them in MUTANTS order all the same
+    failures = []
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        for line, failed in pool.map(check, [None, *MUTANTS]):
+            if line:
+                print(line, flush=True)
+            failures += failed
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     return 1 if failures else 0

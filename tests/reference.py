@@ -2,18 +2,47 @@
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import pairwise
 from math import isqrt
 
 from twosquares import decide, sweep_csv
 from twosquares.arith import check_magnitude
+from twosquares.certify import Certificate
 from twosquares.classify import MIN_ELIGIBLE, eligible_range
 from twosquares.report import _sides, _vertex
 from twosquares.represent import Representation
 from twosquares.scan import Quadratic, ScanBranch, ScanHit
 
 SQUARES_MOD_8 = {0, 1, 4}
+
+
+def indented_certificate_json(cert: Certificate) -> str:
+    """Reference for certificate_to_json: the certificate's document,
+    integers as decimal strings in a fixed key order, through json's
+    indenting encoder, the encoder certificate_to_json replaced."""
+
+    def rep(r):
+        return {"a": str(r.a), "b": str(r.b), "coprime": r.coprime}
+
+    w = cert.witness
+    integers = ("a", "b", "c", "d", "u", "v", "k", "l", "m", "n", "f1", "f2")
+    doc = {
+        "n": str(cert.n),
+        "verdict": cert.verdict.value,
+        "representations": [rep(r) for r in cert.representations],
+        "factors": [str(f) for f in cert.factors] if cert.factors else None,
+        "witness": (
+            {"rep1": rep(w.rep1), "rep2": rep(w.rep2)}
+            | {f: str(getattr(w, f)) for f in integers}
+            if w
+            else None
+        ),
+        "notes": cert.notes,
+        "method_version": cert.method_version,
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def per_n_sweep(lo: int, hi: int) -> str:

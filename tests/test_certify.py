@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from reference import indented_certificate_json
 
 from twosquares import certify, represent
 from twosquares.certify import (
@@ -235,6 +236,23 @@ def test_serialization_roundtrip_byte_identical():
         text = certificate_to_json(decide(n))
         again = certificate_to_json(certificate_from_json(text))
         assert again == text
+
+
+def test_encoding_matches_the_indenting_encoder():
+    # every verdict and layout: every n < 3000, seeded N per decade up to
+    # 10^12, and notes and method_version that json must escape
+    rng = random.Random(34)
+    seeded = (rng.randrange(10**e, 10 ** (e + 1)) for e in range(4, 12) for _ in range(20))
+    ns = [*range(3000), *seeded]
+    for n in ns:
+        cert = decide(n)
+        assert certificate_to_json(cert) == indented_certificate_json(cert), n
+    strings = ['a "quoted" word', "back\\slash", "tab\tnewline\nbell\x07", "caf\u00e9 \U0001f600", ""]
+    for n in (1000009, 1000081, 21, 10):
+        cert = decide(n)
+        for text in strings:
+            for odd in (replace(cert, notes=text), replace(cert, method_version=text)):
+                assert certificate_to_json(odd) == indented_certificate_json(odd), (n, text)
 
 
 def test_serialization_integers_are_strings():

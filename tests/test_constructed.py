@@ -15,11 +15,12 @@ where it is too slow for the tier-1 suite:
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 from math import isqrt, prod
 
-from twosquares import Verdict, classify, decide
+from twosquares import Verdict, certificate_to_json, classify, decide
 
 CAP = 2**63
 
@@ -158,3 +159,17 @@ def test_decide_in_every_eligible_class_mod_400():
             cert = decide(n)
             assert cert.verdict is Verdict.COMPOSITE_WITH_FACTORS, (q, r)
             assert len(cert.representations) == 2 and cert.factors == (q, r), (q, r)
+
+
+def test_certificates_at_the_cap_match_the_pinned_hashes():
+    # the SHA-256 of `twosquares prove N --out FILE` that CI pins for the
+    # largest eligible prime below 2^63 - 1, the product of two near-equal
+    # primes there, and the N in range with the most representations
+    pinned = {
+        9223372036854775549: "13de4270382dfb91a8b8445cb82dda26a0f8e9752073ce942c0fc76a0f2c371f",
+        9223371873002223329: "e30e987df8f1fb09eb4d8b3e458299f03d5dbd3259991c21a2314feb693cda06",
+        4377825349681037761: "5dc3cc4ecd4595c47e69e056b5dca09fec32584a0bbb0b6e0bf10e73922bdc26",
+    }
+    for n, digest in pinned.items():
+        text = certificate_to_json(decide(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n

@@ -6,10 +6,12 @@ import random
 import pytest
 from reference import SQUARES_MOD_8, reference_scan, sieve_survivors
 
-from twosquares.certify import decide
+from twosquares import scan
+from twosquares.certify import certificate_to_json, decide
 from twosquares.classify import classify
 from twosquares.report import render_difference_table, render_scan_table
 from twosquares.scan import (
+    SIEVE_GROUPS,
     SIEVE_MODULI,
     SIEVE_WINDOW,
     InternalConsistencyError,
@@ -406,11 +408,13 @@ def test_scan_visits_exactly_the_nonnegative_range():
 
 
 def test_decide_leaves_no_cyclic_garbage():
+    # nor does its certificate's encoding: a run of certificates sets off
+    # no collection of its own
     gc.collect()
     gc.disable()
     try:
-        for n in (1000009, 1000081, 10**10 + 9):
-            decide(n)
+        for n in (1000009, 1000081, 10**10 + 9, 21, 10):
+            certificate_to_json(decide(n))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -493,9 +497,9 @@ def test_residue_patterns_exclude_only_non_squares():
                     rng.randrange(1, 10**6),
                 )
                 pattern = residue_pattern(p, q.m % p, q.beta % p, q.gamma % p)
-                assert len(pattern) == p and set(pattern) <= {0, 1}
+                assert 0 <= pattern < 1 << p
                 for t in range(-3 * p, 3 * p):
-                    assert pattern[t % p] == (q.value_at(t) % p in squares), (p, q, t)
+                    assert pattern >> t % p & 1 == (q.value_at(t) % p in squares), (p, q, t)
 
 
 def test_sieve_across_several_windows_from_negative_t():
@@ -507,8 +511,14 @@ def test_sieve_across_several_windows_from_negative_t():
     assert len({(h.t - ts.start) // SIEVE_WINDOW for h in hits}) > 3
 
 
-@pytest.mark.parametrize("edge", [SIEVE_WINDOW - 1, SIEVE_WINDOW, 2 * SIEVE_WINDOW])
+WHEEL = SIEVE_GROUPS[0][0]
+
+
+@pytest.mark.parametrize(
+    "edge", [WHEEL - 1, WHEEL, 2 * WHEEL, SIEVE_WINDOW - 1, SIEVE_WINDOW, 2 * SIEVE_WINDOW]
+)
 def test_sieve_finds_a_hit_at_a_window_edge(edge):
+    # at the wheel's turns inside a window and at the window's own edges
     # Q(t) = a^2 + b^2 - t^2 with isqrt(a^2 + b^2) = a + edge: ts starts
     # at -(a + edge), so t = -a, where Q = b^2, is edge rows into ts
     b = 3 * edge
@@ -520,7 +530,7 @@ def test_sieve_finds_a_hit_at_a_window_edge(edge):
 
 
 def test_excluded_leaf_returns_its_whole_range():
-    # a leaf whose pattern mod p is all zero is not walked, but its ts is
+    # a leaf whose pattern mod p is empty is not walked, but its ts is
     # still exactly the nonnegative range (the rendered tables and the
     # benchmark's row count read it)
     excluded = {}
@@ -528,14 +538,14 @@ def test_excluded_leaf_returns_its_whole_range():
         for leaf in leaves_of(n).values():
             q = leaf.quadratic
             for p in SIEVE_MODULI:
-                if 1 not in residue_pattern(p, q.m % p, q.beta % p, q.gamma % p):
+                if not residue_pattern(p, q.m % p, q.beta % p, q.gamma % p):
                     excluded.setdefault(p, leaf)
     assert 16 in excluded and set(excluded) - {16}
     # and a one-window leaf, Q(t) = 432 - t^2 on |t| <= 20, where every
     # pattern marks some t but no t of the leaf survives the wheel
     short = synthetic(432, 0, 1)
     q = short.quadratic
-    assert all(1 in residue_pattern(p, q.m % p, q.beta % p, q.gamma % p) for p in SIEVE_MODULI)
+    assert all(residue_pattern(p, q.m % p, q.beta % p, q.gamma % p) for p in SIEVE_MODULI)
     assert sieve_survivors(q, nonnegative_ts(q), (16, 9, 5)) == []
     for leaf in [*excluded.values(), short]:
         hits, ts = assert_scan_matches_reference(leaf)
@@ -579,8 +589,42 @@ def test_sieve_keeps_exactly_the_residue_survivors():
 
 def test_sieve_drops_no_t_where_every_value_is_a_residue():
     # Q(t) = -(L - 1)*t^2 = t^2 mod every modulus, L their product, so every
-    # t survives, and a t lost to a short mask or a cut window shows; over
-    # 253 windows each group's mask takes every shift below its period
+    # t survives, and a t lost to a short mask or a cut window shows; the
+    # window is prime to every period but the wheel's, so over as many
+    # windows as the longest period, 41*43, each group's mask takes every
+    # shift below its period
     q = Quadratic(0, 0, math.prod(SIEVE_MODULI) - 1)
-    for ts in (range(-5, 253 * SIEVE_WINDOW + 17), range(7, 7 + SIEVE_WINDOW), range(-3, 50)):
-        assert list(_sieve(q, ts)) == list(ts), ts
+    windows = max(period for period, _ in SIEVE_GROUPS)
+    for ts in (range(-5, windows * SIEVE_WINDOW + 17), range(7, 7 + SIEVE_WINDOW), range(-3, 50)):
+        survivors = _sieve(q, ts)
+        assert all(t == next(survivors, None) for t in ts) and next(survivors, None) is None, ts
+
+
+def test_sieve_stops_a_one_window_leaf_at_its_first_empty_group(monkeypatch):
+    # Q(t) = 266 - t^2 on |t| <= 16: 6 t survive the wheel, none survive
+    # 7*29 as well, so the leaf is done before the third group
+    asked = []
+
+    def spy(p, m, beta, gamma):
+        asked.append(p)
+        return residue_pattern(p, m, beta, gamma)
+
+    q = Quadratic(266, 0, 1)
+    ts = nonnegative_ts(q)
+    assert len(ts) <= SIEVE_WINDOW
+    assert sieve_survivors(q, ts, SIEVE_GROUPS[0][1])
+    assert not sieve_survivors(q, ts, SIEVE_GROUPS[0][1] + SIEVE_GROUPS[1][1])
+    monkeypatch.setattr(scan, "residue_pattern", spy)
+    assert list(_sieve(q, ts)) == []
+    assert asked == [16, 9, 5, 7, 29]
+
+
+def test_sieve_reads_every_window_of_a_leaf_whose_first_is_empty():
+    # a leaf one t longer than a window, ending on a survivor with no
+    # other in the window before it
+    q = leaves_of(10**12 + 61)["A0"].quadratic
+    ts = nonnegative_ts(q)
+    survivors = sieve_survivors(q, ts, SIEVE_MODULI)
+    last = next(b for a, b in itertools.pairwise(survivors) if b - a > SIEVE_WINDOW)
+    part = range(last - SIEVE_WINDOW, last + 1)
+    assert list(_sieve(q, part)) == [last]

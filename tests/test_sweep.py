@@ -52,10 +52,11 @@ def test_window_ends_are_sums_of_two_squares(lo, hi):
 @pytest.mark.parametrize(
     "lo, hi, windowed",
     [
-        # 2 eligible N: 2 * (3162 // 17 + 33000) = 66372 < 130 * (3162 // 5 + 1) = 82290
+        # 2 and 3 eligible N: 3 * (3162 // 17 + 105000) = 315558 < 620 * (3162 // 5 + 1) = 392460
         (10**7, 10**7 + 20, False),
-        # 3 eligible N cross it: 99558
-        (10**7, 10**7 + 21, True),
+        (10**7, 10**7 + 28, False),
+        # 4 eligible N cross it: 420744
+        (10**7, 10**7 + 29, True),
         (10**12 + 61, 10**12 + 81, False),
     ],
 )

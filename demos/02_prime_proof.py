@@ -37,4 +37,4 @@ cert = decide(N)
 print(f"verdict: {cert.verdict.value}")
 rep = cert.representations[0]
 print(f"unique representation: {N} = {rep.a}^2 + {rep.b}^2 (coprime: {rep.coprime})")
-print(f"independent verification (oracle + trial division): {verify(cert)}")
+print(f"independent verification (factorization + Miller-Rabin): {verify(cert)}")

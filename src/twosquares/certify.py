@@ -2,11 +2,12 @@
 
 certificate_for() is the table of verdicts: it turns N's complete
 representation list into the one certificate that list implies.
-decide() feeds it the scan engine's list; verify() feeds it the
-brute-force oracle's list and accepts only the same certificate, then
-re-checks primality, the factor product and the witness identities
-without the scan engine, so a verifier needs none of the machinery
-that produced the certificate.
+decide() feeds it the scan engine's list; verify() feeds it the list
+that N's factorization implies (route.py: Miller-Rabin, Pollard-Brent
+rho and Hermite-Serret) and accepts only the same certificate, then
+re-checks primality by Miller-Rabin, the factor product and the
+witness identities without the scan engine, so a verifier needs none
+of the machinery that produced the certificate.
 
 Certificates serialize to JSON with integers as decimal strings (no
 consumer precision loss) and a fixed key order, so a document
@@ -22,12 +23,12 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd, isqrt
+from math import gcd
 
 from .arith import parse_decimal
 from .classify import Eligibility, classify
 from .factorize import TwoRepWitness, factor_with_witness, witness_violation
-from .represent import Representation, oracle_representations, representations
+from .represent import Representation, representations
 
 METHOD_VERSION = "1.0"
 
@@ -96,24 +97,22 @@ def decide(n: int) -> Certificate:
 # independent verification
 # ---------------------------------------------------------------------------
 
-def _is_prime_trial(n: int) -> bool:
-    """Trial division by odd d; n is odd and >= 29, as on a matched PRIME certificate."""
-    return all(n % d for d in range(3, isqrt(n) + 1, 2))
-
-
 def verify(cert: Certificate) -> bool:
-    """Rebuild the certificate from the brute-force oracle's
-    representations and accept only an exact match; then re-check the
-    primality by trial division, the factor product, and the witness
+    """Rebuild the certificate from the representation list that N's
+    factorization implies and accept only an exact match; then re-check
+    the primality by Miller-Rabin, the factor product, and the witness
     with witness_violation, the check factor recovery ends with.  Never
     runs the scan engine.  False on any mismatch."""
+    # imported here, so that no other command compiles or loads the route
+    from .route import is_prime, route_representations
+
     try:
         n = cert.n
         elig = classify(n)
-        oracle = oracle_representations(n) if elig.is_eligible else []
-        if cert != certificate_for(elig, oracle):
+        reps = route_representations(n) if elig.is_eligible else []
+        if cert != certificate_for(elig, reps):
             return False
-        if cert.verdict is Verdict.PRIME and not _is_prime_trial(n):
+        if cert.verdict is Verdict.PRIME and not is_prime(n):
             return False
         if cert.factors is not None:
             f1, f2 = cert.factors

@@ -6,7 +6,9 @@ class); representations() and the CLI's prove and scan read from it.
 The window pass, window_representations(), lists every eligible
 x^2 + y^2 in [lo, hi] at once, for sweep: it steps the member y that
 is divisible by 5, then sorts each n's list by descending a.  The
-brute-force route is an independent oracle used for verification.
+brute-force oracle, oracle_representations(), is the tests' reference:
+the scan and the verifier's factorization route (route.py) are both
+checked against it.
 """
 
 from __future__ import annotations

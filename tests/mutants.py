@@ -57,6 +57,7 @@ TREE_TESTS = (
 CERTIFY = "tests/test_certify.py"
 ENCODING = f"{CERTIFY}::test_encoding_matches_the_indenting_encoder"
 SWEEP = "tests/test_sweep.py"
+ROUTE = "tests/test_route.py"
 ANNULUS = f"{SWEEP}::test_window_representations_match_the_annulus_pass"
 
 MUTANTS = [
@@ -189,8 +190,8 @@ MUTANTS = [
     Mutant(
         "verify comparing only n",
         "twosquares/certify.py",
-        "if cert != certificate_for(elig, oracle):",
-        "if cert.n != certificate_for(elig, oracle).n:",
+        "if cert != certificate_for(elig, reps):",
+        "if cert.n != certificate_for(elig, reps).n:",
         (
             f"{CERTIFY}::test_verify_rejects_coprime_flag_tamper",
             f"{CERTIFY}::test_verify_accepts_only_the_oracle_certificate",
@@ -200,9 +201,9 @@ MUTANTS = [
     Mutant(
         "verify without its primality re-check",
         "twosquares/certify.py",
-        "and not _is_prime_trial(n):",
+        "and not is_prime(n):",
         "and False:",
-        (f"{CERTIFY}::test_verify_rechecks_primality_by_trial_division",),
+        (f"{CERTIFY}::test_verify_rechecks_primality_by_miller_rabin",),
     ),
     Mutant(
         "verify without its factor re-check",
@@ -220,6 +221,33 @@ MUTANTS = [
             f"{CERTIFY}::test_verify_rechecks_every_witness_field",
             f"{CERTIFY}::test_verify_rechecks_the_witness_represents_n",
         ),
+    ),
+    Mutant(
+        "the route keeping n with a prime 3 (mod 4) to an odd power",
+        "twosquares/route.py",
+        "        if p % 4 == 3 and e % 2:\n            return []\n",
+        "",
+        (
+            f"{ROUTE}::test_route_matches_the_oracle_below_30000",
+            f"{ROUTE}::test_prime_squares_and_q_squared_p_at_the_cap",
+        ),
+    ),
+    Mutant(
+        "Hermite-Serret stopping one remainder early",
+        "twosquares/route.py",
+        "while y * y > p:",
+        "while (x % y) ** 2 > p:",
+        (
+            f"{ROUTE}::test_two_squares_of_every_prime_below_10_5",
+            f"{ROUTE}::test_route_matches_the_oracle_below_30000",
+        ),
+    ),
+    Mutant(
+        "Miller-Rabin without its last base, 37",
+        "twosquares/route.py",
+        "29, 31, 37)",
+        "29, 31)",
+        (f"{ROUTE}::test_is_prime_rejects_strong_pseudoprimes",),
     ),
     Mutant(
         "the window pass without its final sort",

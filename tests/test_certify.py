@@ -218,7 +218,7 @@ def test_verify_rechecks_the_witness_represents_n(monkeypatch):
     assert not verify_past_the_match(monkeypatch, forged)
 
 
-def test_verify_rechecks_primality_by_trial_division(monkeypatch):
+def test_verify_rechecks_primality_by_miller_rabin(monkeypatch):
     forged = replace(decide(1000009), verdict=Verdict.PRIME, factors=None, witness=None)
     assert not verify_past_the_match(monkeypatch, forged)
 

@@ -20,11 +20,17 @@ import random
 from collections import Counter
 from math import isqrt, prod
 
-from twosquares import Verdict, certificate_to_json, classify, decide
+from twosquares import (
+    Verdict,
+    certificate_from_json,
+    certificate_to_json,
+    classify,
+    decide,
+    verify,
+)
+from twosquares.route import is_prime
 
 CAP = 2**63
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # each factor is (class mod 4, exponent), drawn at random, or a fixed
 # prime; the last factor's size puts N at the requested digit count
@@ -36,30 +42,6 @@ SHAPES = {
     "3 q": (3, (3, 1)),
     "q q'": ((3, 1), (3, 1)),
 }
-
-
-def is_prime(n: int) -> bool:
-    """Miller-Rabin on the first 12 prime bases: exact below 3.3 * 10**24."""
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _prime(rng: random.Random, lo: int, hi: int, residue: int) -> int:
@@ -164,7 +146,8 @@ def test_decide_in_every_eligible_class_mod_400():
 def test_certificates_at_the_cap_match_the_pinned_hashes():
     # the SHA-256 of `twosquares prove N --out FILE` that CI pins for the
     # largest eligible prime below 2^63 - 1, the product of two near-equal
-    # primes there, and the N in range with the most representations
+    # primes there, and the N in range with the most representations;
+    # verify accepts each document, as `twosquares verify` does in CI
     pinned = {
         9223372036854775549: "13de4270382dfb91a8b8445cb82dda26a0f8e9752073ce942c0fc76a0f2c371f",
         9223371873002223329: "e30e987df8f1fb09eb4d8b3e458299f03d5dbd3259991c21a2314feb693cda06",
@@ -173,3 +156,4 @@ def test_certificates_at_the_cap_match_the_pinned_hashes():
     for n, digest in pinned.items():
         text = certificate_to_json(decide(n))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+        assert verify(certificate_from_json(text)), n

@@ -7,9 +7,11 @@ differences growing by 2*gamma) and a running-subtraction table (the
 successive branch values, squares marked with '*').  Both tables are a
 view over the range of t that scan_branch covered.  Like the hand
 tables, they evaluate Q once per side, at the head, and get every other
-value by running subtraction; the cells are formatted by one '%' per
-block of rows, with each column as wide as the longest of its header,
-its smallest cell and its largest cell.
+value by running subtraction.  Each column is monotone on each side of
+the vertex, so a bisect per change of length finds the runs of cells
+whose decimals have one length and one sign.  A column is as wide as its
+header and its longest run, and each run of rows is formatted by one '%'
+with a bare %d per cell, its padding written into the template.
 
 The side whose subtrahends grow more slowly (linear term working
 against the quadratic) is rendered first, matching the hand layout.
@@ -19,8 +21,9 @@ render_tree yields pieces that each end in their own newline, unjoined.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
-from itertools import accumulate, chain, pairwise, repeat
+from itertools import accumulate, pairwise
 from operator import sub
 
 from .certify import Certificate
@@ -52,16 +55,34 @@ def _sides(branch: ScanBranch, ts: range) -> tuple[tuple[str, range], tuple[str,
     return ((near, down), (far, up)) if q.beta > 0 else ((near, up), (far, down))
 
 
-def _columns(branch: ScanBranch, ts: range) -> Iterator[tuple[str, range, list[int], range]]:
-    """Each side of _sides as (label, side, values, diffs): the branch
-    values from the head outward, by running subtraction, and the first
-    differences between them, which grow by 2*gamma per step."""
-    q = branch.quadratic
-    for label, side in _sides(branch, ts):
-        t0, s = side.start, side.step
-        d0 = q.beta * s + q.gamma * (2 * t0 * s + 1)
-        diffs = range(d0, d0 + 2 * q.gamma * (len(side) - 1), 2 * q.gamma)
-        yield label, side, list(accumulate(diffs, sub, initial=q.value_at(t0))), diffs
+def _diffs(q: Quadratic, side: range) -> range:
+    """The first differences Q(t) - Q(t + s) along a side of step s, from
+    its head outward; they grow by 2*gamma per step."""
+    t0, s = side.start, side.step
+    d0 = q.beta * s + q.gamma * (2 * t0 * s + 1)
+    return range(d0, d0 + 2 * q.gamma * (len(side) - 1), 2 * q.gamma)
+
+
+def _runs(cells, turn: int) -> list[tuple[int, int, int]]:
+    """(start, stop, length) of each run of cells whose decimals have one
+    length and one sign, in order.  cells, a list or range, is monotone
+    before turn and from turn on, so each run is contiguous and a bisect
+    finds where it stops."""
+    runs = []
+    for lo, hi in (0, turn), (turn, len(cells)):
+        while lo < hi:
+            n, neg = len(str(cells[lo])), cells[lo] < 0
+            stop = bisect_left(cells, True, lo + 1, hi, key=lambda x: len(str(x)) != n or (x < 0) != neg)
+            runs.append((lo, stop, n))
+            lo = stop
+    return runs
+
+
+def _turn(q: Quadratic, side: range) -> int:
+    """The index of the vertex on side, where its values stop rising and
+    its subtrahends stop falling; 0 when the vertex is off the side."""
+    v = _vertex(q)
+    return side.index(v) if v in side else 0
 
 
 def render_difference_table(branch: ScanBranch, ts: range) -> str:
@@ -72,24 +93,35 @@ def render_difference_table(branch: ScanBranch, ts: range) -> str:
     title = branch.describe()
     if not ts:
         return title + "\n  (no rows)\n"
-    m = branch.quadratic.m
-    sides = list(_columns(branch, ts))
-    lengths = [len(side) for _, side, _, _ in sides]
-    # (header, cells, c of the first cell) per column; a side's diffs start at c = 1
-    columns = [("c", range(max(lengths)), 0)]
-    for label, _, values, diffs in sides:
-        columns += [(label, list(map(sub, repeat(m), values)), 0), ("diff", diffs, 1)]
-    # len(str(x)) grows with |x| on each side of 0, so min or max is the widest cell
-    widths = [max(len(head), len(str(min(col, default=0))), len(str(max(col, default=0))))
-              for head, col, _ in columns]
-    lines = [title, " | ".join(map(str.rjust, [head for head, _, _ in columns], widths))]
-    # in each block of rows (the head, both sides, the longer side's tail)
-    # every column is filled throughout or blank throughout
-    for lo, hi in pairwise(sorted({0, 1, *lengths})):
-        filled = [first <= lo and hi <= first + len(col) for _, col, first in columns]
-        row = " | ".join(f"%{w}d" if f else " " * w for f, w in zip(filled, widths)).rstrip()
-        cells = [col[lo - first : hi - first] for (_, col, first), f in zip(columns, filled) if f]
-        lines.append("\n".join([row] * (hi - lo)) % tuple(chain.from_iterable(zip(*cells))))
+    q = branch.quadratic
+    sides = _sides(branch, ts)
+    lengths = [len(side) for _, side in sides]
+    # (header, cells, c of the first cell, runs) per column; a side's diffs start at c = 1
+    depth = range(max(lengths))
+    columns = [("c", depth, 0, _runs(depth, 0))]
+    for label, side in sides:
+        diffs = _diffs(q, side)
+        subtrahends = list(accumulate(diffs, initial=q.m - q.value_at(side.start)))
+        columns += [(label, subtrahends, 0, _runs(subtrahends, _turn(q, side))),
+                    ("diff", diffs, 1, _runs(diffs, 0))]
+    widths = [max([len(head), *(n for _, _, n in runs)]) for head, _, _, runs in columns]
+    lines = [title, " | ".join(map(str.rjust, [head for head, _, _, _ in columns], widths))]
+    # every column is filled throughout or blank throughout a block of rows
+    # (the head, both sides, the longer side's tail), and its cells have
+    # one length throughout a run
+    cuts = {0, 1, *lengths, *(first + lo for _, _, first, runs in columns for lo, _, _ in runs)}
+    for lo, hi in pairwise(sorted(cuts)):
+        row, filled = [], []
+        for (_, col, first, _), w in zip(columns, widths):
+            if first <= lo and hi <= first + len(col):
+                row.append(" " * (w - len(str(col[lo - first]))) + "%d")
+                filled.append(col[lo - first : hi - first])
+            else:
+                row.append(" " * w)
+        cells = [0] * (len(filled) * (hi - lo))
+        for j, col in enumerate(filled):
+            cells[j :: len(filled)] = col
+        lines.append("\n".join([" | ".join(row).rstrip()] * (hi - lo)) % tuple(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -105,12 +137,20 @@ def render_scan_table(branch: ScanBranch, ts: range, hits: list[ScanHit]) -> str
     # ts is exactly where Q >= 0, so it holds the vertex, the widest value
     width = len(str(q.value_at(_vertex(q))))
     lines = [title]
-    for label, side, values, diffs in _columns(branch, ts):
-        # a line per value, a diff line between two; a hit at the head shows on both sides
-        templates = [f"  %{width}d"] * (2 * len(side) - 1)
+    for label, side in _sides(branch, ts):
+        diffs = _diffs(q, side)
+        values = list(accumulate(diffs, sub, initial=q.value_at(side.start)))
+        # a line per value, a diff line between two, each padded by its template
+        templates = [""] * (2 * len(side) - 1)
+        for col, turn, parity in (values, _turn(q, side), 0), (diffs, 0, 1):
+            for lo, hi, n in _runs(col, turn):
+                template = "  " + " " * (width - n) + "%d"
+                templates[2 * lo + parity : 2 * hi + parity : 2] = [template] * (hi - lo)
+        # a hit at the head shows on both sides
         for h in hits:
             if h.t in side:
-                templates[2 * side.index(h.t)] = f"* %{width}d"
+                i = 2 * side.index(h.t)
+                templates[i] = "*" + templates[i][1:]
         cells = [0] * len(templates)
         cells[::2], cells[1::2] = values, diffs
         lines += [f"side {label}:", "\n".join(templates) % tuple(cells)]

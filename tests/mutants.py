@@ -59,6 +59,8 @@ ENCODING = f"{CERTIFY}::test_encoding_matches_the_indenting_encoder"
 SWEEP = "tests/test_sweep.py"
 ROUTE = "tests/test_route.py"
 ANNULUS = f"{SWEEP}::test_window_representations_match_the_annulus_pass"
+WINDOW_ROUTE = f"{ROUTE}::test_window_pass_matches_the_route_by_decade"
+REPORT = "tests/test_report.py"
 
 MUTANTS = [
     Mutant(
@@ -254,14 +256,14 @@ MUTANTS = [
         "twosquares/represent.py",
         "reps.sort(key=lambda r: -r.a)",
         "pass",
-        (ANNULUS, f"{SWEEP}::test_window_representations_match_the_scan"),
+        (ANNULUS, WINDOW_ROUTE, f"{SWEEP}::test_window_representations_match_the_scan"),
     ),
     Mutant(
         "the window pass's y from 5",
         "twosquares/represent.py",
         "range(0, isqrt(hi) + 1, 5)",
         "range(5, isqrt(hi) + 1, 5)",
-        (ANNULUS, f"{SWEEP}::test_window_pass_matches_per_n_sweep"),
+        (ANNULUS, WINDOW_ROUTE, f"{SWEEP}::test_window_pass_matches_per_n_sweep"),
     ),
     Mutant(
         "the window pass's y below sqrt(hi)",
@@ -270,6 +272,7 @@ MUTANTS = [
         "range(0, isqrt(hi), 5)",
         (
             ANNULUS,
+            WINDOW_ROUTE,
             f"{SWEEP}::test_window_ends_are_sums_of_two_squares",
             f"{SWEEP}::test_window_pass_matches_per_n_sweep",
         ),
@@ -279,7 +282,7 @@ MUTANTS = [
         "twosquares/represent.py",
         "isqrt(lo - yy - 1) + 1 if lo > yy else 0",
         "isqrt(lo - yy) if lo > yy else 0",
-        (ANNULUS, f"{SWEEP}::test_window_representations_match_the_scan"),
+        (ANNULUS, WINDOW_ROUTE, f"{SWEEP}::test_window_representations_match_the_scan"),
     ),
     Mutant(
         "the window pass's x below sqrt(hi - y^2)",
@@ -288,6 +291,7 @@ MUTANTS = [
         "isqrt(hi - yy))",
         (
             ANNULUS,
+            WINDOW_ROUTE,
             f"{SWEEP}::test_window_ends_are_sums_of_two_squares",
             f"{SWEEP}::test_window_pass_matches_per_n_sweep",
             f"{SWEEP}::test_path_rule_crossover",
@@ -299,7 +303,42 @@ MUTANTS = [
         "twosquares/represent.py",
         "lo = max(lo, MIN_ELIGIBLE)",
         "lo = max(lo, 1)",
-        (ANNULUS,),
+        (ANNULUS, WINDOW_ROUTE),
+    ),
+    Mutant(
+        "a column's width taken from its head cell only",
+        "twosquares/report.py",
+        "*(n for _, _, n in runs)",
+        "*(n for _, _, n in runs[:1])",
+        (f"{REPORT}::test_difference_table_worked_composite",),
+    ),
+    Mutant(
+        "d0 spelled 2*t0*s - 1",
+        "twosquares/report.py",
+        "(2 * t0 * s + 1)",
+        "(2 * t0 * s - 1)",
+        (f"{REPORT}::test_difference_table_worked_composite", f"{REPORT}::test_scan_table_worked_composite"),
+    ),
+    Mutant(
+        "a head hit marked on the down side only",
+        "twosquares/report.py",
+        "if h.t in side:",
+        "if h.t in side[side.step > 0 :]:",
+        (f"{REPORT}::test_tables_reduced_even_branch",),
+    ),
+    Mutant(
+        "the run search taking bisect_right, past the run's last cell",
+        "twosquares/report.py",
+        "from bisect import bisect_left",
+        "from bisect import bisect_right as bisect_left",
+        (f"{REPORT}::test_difference_table_worked_composite", f"{REPORT}::test_scan_table_worked_composite"),
+    ),
+    Mutant(
+        "no cut where a column changes sign",
+        "twosquares/report.py",
+        "len(str(x)) != n or (x < 0) != neg",
+        "len(str(x)) != n",
+        (f"{REPORT}::test_tables_match_per_cell_reference",),
     ),
 ]
 
@@ -309,8 +348,11 @@ def run_tests(src: Path, tests: tuple[str, ...], report: Path) -> dict[str, bool
     parametrized test counts once, failing if any case fails) to passed."""
     # no bytecode: a mutant and its restored file can share size and mtime
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    # no named test uses hypothesis, and pass or fail is read from the
+    # report, so its plugin and assertion rewriting only slow each child
     subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "no:hypothesispytest",
+         "--assert=plain", f"--junitxml={report}", *tests],
         cwd=ROOT,
         env=env,
         stdout=subprocess.DEVNULL,

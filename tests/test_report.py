@@ -130,6 +130,30 @@ def test_edge_layouts_golden():
     golden_check("report_edge_layouts.txt", edge_layouts())
 
 
+def synthetic_leaves():
+    """Seeded (m, beta, gamma) at the edges of the renderers' runs of
+    equal-length cells."""
+    rng = random.Random(29)
+    for k in range(1, 8):
+        for _ in range(6):
+            # the near side's subtrahends fall from 0 past -beta^2/(4*gamma)
+            # and climb back past 0; its first differences climb from about
+            # -|beta| past 0 to about sqrt(beta^2 + 4*gamma*m): both
+            # columns cross 10^k on both sides of zero, in a few dozen rows
+            beta = rng.choice((-1, 1)) * rng.randrange(10**k, 4 * 10**k)
+            gamma = max(1, abs(beta) // rng.randrange(2, 60))
+            yield rng.randrange(-abs(beta), beta * beta // gamma), beta, gamma
+    for _ in range(8):
+        # a 19-digit m with a few dozen rows or fewer
+        m = rng.randrange(10**18, 2**63)
+        gamma = m // rng.randrange(1, 400)
+        yield m, rng.randrange(-2 * gamma, 2 * gamma), gamma
+    for _ in range(8):
+        # Q(0) >= 0 > Q of the far side's next t: a far side of one row
+        beta, gamma = rng.choice((-1, 1)) * rng.randrange(1, 10**4), rng.randrange(1, 100)
+        yield rng.randrange(0, abs(beta) + gamma), beta, gamma
+
+
 def leaves_to_render():
     """(leaf, ts, hits) for every scanned leaf of the comparison inputs."""
     rng = random.Random(23)
@@ -143,8 +167,8 @@ def leaves_to_render():
         for leaf, scanned in scan_tree(classify(n), respect_pruning=pruning)[1]:
             if scanned is not None:
                 yield leaf, scanned[1], scanned[0]
-    # the last two: a first difference (-19999) wider than the last one
-    for m, beta, gamma in [*EDGE_LEAVES, (10, -20000, 1), (10, 20000, 1)]:
+    # the two after EDGE_LEAVES: a first difference (-19999) wider than the last one
+    for m, beta, gamma in [*EDGE_LEAVES, (10, -20000, 1), (10, 20000, 1), *synthetic_leaves()]:
         leaf = ScanBranch("edge", Quadratic(m, beta, gamma), 1, 0, 1, None)
         hits, ts = scan_branch(leaf)
         yield leaf, ts, hits

@@ -17,8 +17,8 @@ from pathlib import Path
 from test_constructed import expected_count
 
 import twosquares
-from twosquares.classify import classify
-from twosquares.represent import oracle_representations, representations
+from twosquares.classify import classify, eligible_range
+from twosquares.represent import oracle_representations, representations, window_representations
 from twosquares.route import factorize, is_prime, route_representations, two_squares
 
 CAP = 2**63 - 1
@@ -56,6 +56,16 @@ def test_route_matches_the_scan_by_decade_and_class_mod_400():
         for c in classes * 4:
             n = 400 * rng.randrange(lo // 400, hi // 400) + c
             assert route_representations(n) == representations(n), n
+
+
+def test_window_pass_matches_the_route_by_decade():
+    # every eligible n of [0, 1999] (y = 0 and the smallest eligible n) and
+    # of a seeded 2000-wide window per decade: the window pass lists each n
+    # with a representation, and only those
+    seeded = [random.Random(e).randrange(10**e, 10 ** (e + 1) - 2000) for e in range(5, 13)]
+    for lo in [0, *seeded]:
+        expected = {n: reps for n in eligible_range(lo, lo + 1999) if (reps := route_representations(n))}
+        assert window_representations(lo, lo + 1999) == expected, lo
 
 
 def test_is_prime_matches_trial_division_below_10_5():

@@ -7,17 +7,9 @@
 # difference table answers with one subtraction per candidate (the
 # engine sieves the candidates by their residues first).
 
-from twosquares import (
-    classify,
-    decide,
-    expand_branches,
-    initial_quadratic,
-    recover_xy,
-    render_difference_table,
-    render_scan_table,
-    scan_branch,
-    verify,
-)
+from twosquares import classify, decide, verify
+from twosquares.report import render_difference_table, render_scan_table
+from twosquares.scan import expand_branches, initial_quadratic, recover_xy, scan_branch
 
 N = 1000009
 

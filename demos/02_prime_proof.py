@@ -6,15 +6,9 @@
 # by 8, two others because their values are twice an odd number, and
 # the three survivors contain no square except the known 1000^2.
 
-from twosquares import (
-    classify,
-    decide,
-    expand_branches,
-    initial_quadratic,
-    render_scan_table,
-    scan_branch,
-    verify,
-)
+from twosquares import classify, decide, verify
+from twosquares.report import render_scan_table
+from twosquares.scan import expand_branches, initial_quadratic, scan_branch
 
 N = 1000081
 

@@ -6,13 +6,9 @@
 # split of N.  A second route reduces the transposed-product fraction
 # (a + d)/(c + b) to p/q and reads a divisor off gcd(N, p^2 + q^2).
 
-from twosquares import (
-    gcd_fraction_factor,
-    klmn_factor,
-    klmn_factor_mixed,
-    oracle_representations,
-)
+from twosquares import gcd_fraction_factor, klmn_factor, klmn_factor_mixed
 from twosquares.factorize import select_pair, transposed_fraction
+from twosquares.represent import oracle_representations
 
 for N in (1000009, 325, 481, 169, 4329):
     reps = oracle_representations(N)

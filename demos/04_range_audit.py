@@ -10,8 +10,9 @@ import os
 import tempfile
 import time
 
-from twosquares import classify, decide, sweep_csv, verify
+from twosquares import classify, decide, verify
 from twosquares.cli import main
+from twosquares.report import sweep_csv
 
 LO, HI = 1000000, 1002000
 

@@ -1,14 +1,19 @@
 """What several modules share: the magnitude cap, the one decimal
-spelling of an integer, and the error for a failed internal check.
+spelling of an integer, the error for a failed internal check, and the
+Representation record.  It imports nothing from the package, so the
+verifier's modules can share the record without loading the scan.
 
 The cap of 2**63 - 1 keeps results reproducible on consumers with
 fixed-width integers; it is checked once, where N enters (classify,
-initial_quadratic and oracle_representations, and the CLI's number
-parser), not on every call.  Intermediates may exceed it (Python ints
-are exact at any width).
+initial_quadratic, window_representations' hi and
+oracle_representations, and the CLI's number parser), not on every
+call.  Intermediates may exceed it (Python ints are exact at any width).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from math import gcd
 
 MAX_MAGNITUDE = 2**63 - 1
 
@@ -42,3 +47,19 @@ def parse_decimal(text: str) -> int | None:
         return int(text)
     return None
 
+
+@dataclass(frozen=True, order=True)
+class Representation:
+    """Unordered pair a >= b >= 0 with a^2 + b^2 = N."""
+
+    a: int
+    b: int
+    coprime: bool
+
+    @classmethod
+    def of(cls, x: int, y: int) -> "Representation":
+        a, b = (x, y) if x >= y else (y, x)
+        return cls(a=a, b=b, coprime=gcd(a, b) == 1)
+
+    def members(self) -> tuple[int, int]:
+        return (self.a, self.b)

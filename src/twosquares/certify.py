@@ -7,7 +7,10 @@ that N's factorization implies (route.py: Miller-Rabin, Pollard-Brent
 rho and Hermite-Serret) and accepts only the same certificate, then
 re-checks primality by Miller-Rabin, the factor product and the
 witness identities without the scan engine, so a verifier needs none
-of the machinery that produced the certificate.
+of the machinery that produced the certificate.  Each entry point
+imports its engine when it first runs, decide() the scan and verify()
+the route, so importing this module loads neither, and a verifier
+never loads the scan.
 
 Certificates serialize to JSON with integers as decimal strings (no
 consumer precision loss) and a fixed key order, so a document
@@ -25,10 +28,9 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .arith import parse_decimal
+from .arith import Representation, parse_decimal
 from .classify import Eligibility, classify
 from .factorize import TwoRepWitness, factor_with_witness, witness_violation
-from .represent import Representation, representations
 
 METHOD_VERSION = "1.0"
 
@@ -89,6 +91,8 @@ def certificate_for(elig: Eligibility, reps: list[Representation]) -> Certificat
 
 def decide(n: int) -> Certificate:
     """Certificate for any n >= 0 (ineligible n gets an Ineligible one)."""
+    from .represent import representations
+
     elig = classify(n)
     return certificate_for(elig, representations(n) if elig.is_eligible else [])
 
@@ -103,7 +107,6 @@ def verify(cert: Certificate) -> bool:
     the primality by Miller-Rabin, the factor product, and the witness
     with witness_violation, the check factor recovery ends with.  Never
     runs the scan engine.  False on any mismatch."""
-    # imported here, so that no other command compiles or loads the route
     from .route import is_prime, route_representations
 
     try:

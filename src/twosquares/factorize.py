@@ -29,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import InternalConsistencyError
-from .represent import Representation
+from .arith import InternalConsistencyError, Representation
 
 
 @dataclass(frozen=True)

@@ -8,34 +8,18 @@ x^2 + y^2 in [lo, hi] at once, for sweep: it steps the member y that
 is divisible by 5, then sorts each n's list by descending a.  The
 brute-force oracle, oracle_representations(), is the tests' reference:
 the scan and the verifier's factorization route (route.py) are both
-checked against it.
+checked against it.  The Representation record they all return lives
+in arith.py, so the verifier shares it without loading this module;
+twosquares.represent.Representation still names it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
-from .arith import check_magnitude
+from .arith import Representation, check_magnitude
 from .classify import MIN_ELIGIBLE, Eligibility, classify
 from .scan import ScanBranch, expand_branches, initial_quadratic, recover_xy, scan_branch
-
-
-@dataclass(frozen=True, order=True)
-class Representation:
-    """Unordered pair a >= b >= 0 with a^2 + b^2 = N."""
-
-    a: int
-    b: int
-    coprime: bool
-
-    @classmethod
-    def of(cls, x: int, y: int) -> "Representation":
-        a, b = (x, y) if x >= y else (y, x)
-        return cls(a=a, b=b, coprime=gcd(a, b) == 1)
-
-    def members(self) -> tuple[int, int]:
-        return (self.a, self.b)
 
 
 def scan_tree(

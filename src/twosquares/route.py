@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .represent import Representation
+from .arith import Representation
 
 #: the first 12 primes: Miller-Rabin on them is exact below 3.3 * 10**24
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

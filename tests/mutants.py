@@ -60,6 +60,7 @@ SWEEP = "tests/test_sweep.py"
 ROUTE = "tests/test_route.py"
 ANNULUS = f"{SWEEP}::test_window_representations_match_the_annulus_pass"
 WINDOW_ROUTE = f"{ROUTE}::test_window_pass_matches_the_route_by_decade"
+NO_SCAN_CODE = f"{ROUTE}::test_verify_loads_no_scan_code"
 REPORT = "tests/test_report.py"
 
 MUTANTS = [
@@ -223,6 +224,21 @@ MUTANTS = [
             f"{CERTIFY}::test_verify_rechecks_every_witness_field",
             f"{CERTIFY}::test_verify_rechecks_the_witness_represents_n",
         ),
+    ),
+    Mutant(
+        "certify.py importing the scan's representations at its top",
+        "twosquares/certify.py",
+        "from .factorize import TwoRepWitness, factor_with_witness, witness_violation\n",
+        "from .factorize import TwoRepWitness, factor_with_witness, witness_violation\n"
+        "from .represent import representations\n",
+        (NO_SCAN_CODE,),
+    ),
+    Mutant(
+        "the route taking Representation from represent.py",
+        "twosquares/route.py",
+        "from .arith import Representation",
+        "from .represent import Representation",
+        (NO_SCAN_CODE,),
     ),
     Mutant(
         "the route keeping n with a prime 3 (mod 4) to an odd power",

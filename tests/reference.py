@@ -7,11 +7,11 @@ import math
 from itertools import pairwise
 from math import isqrt
 
-from twosquares import decide, sweep_csv
+from twosquares import decide
 from twosquares.arith import check_magnitude
 from twosquares.certify import Certificate
 from twosquares.classify import MIN_ELIGIBLE, eligible_range
-from twosquares.report import _sides, _vertex
+from twosquares.report import _sides, _vertex, sweep_csv
 from twosquares.represent import Representation
 from twosquares.scan import Quadratic, ScanBranch, ScanHit
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from twosquares.arith import MAX_MAGNITUDE, parse_decimal
 from twosquares.certify import Certificate, Verdict, decide, verify
 from twosquares.classify import classify
-from twosquares.represent import oracle_representations
+from twosquares.represent import oracle_representations, window_representations
 from twosquares.scan import initial_quadratic
 
 # the reference for parse_decimal: [0-9], not \d, which matches any script's digits
@@ -23,6 +23,8 @@ def test_magnitude_cap():
                 entry(bad)
         with pytest.raises(error):
             initial_quadratic(bad, 0)
+        with pytest.raises(error):
+            window_representations(0, bad)
         for verdict in (Verdict.PRIME, Verdict.INELIGIBLE):
             assert verify(Certificate(bad, verdict, (), None, None, "")) is False
     assert classify(MAX_MAGNITUDE).n == MAX_MAGNITUDE

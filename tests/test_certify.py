@@ -153,7 +153,7 @@ def test_verify_never_runs_the_scan_engine(monkeypatch):
         raise AssertionError("verify ran the scan engine")
 
     for module, name in [
-        (certify, "representations"),
+        (represent, "representations"),
         (represent, "scan_tree"),
         (represent, "scan_branch"),
         (represent, "expand_branches"),

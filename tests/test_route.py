@@ -11,15 +11,18 @@ import os
 import random
 import subprocess
 import sys
+import types
 from math import isqrt, prod
 from pathlib import Path
 
 from test_constructed import expected_count
 
 import twosquares
+from twosquares import Verdict, certificate_to_json, decide
 from twosquares.classify import classify, eligible_range
 from twosquares.represent import oracle_representations, representations, window_representations
 from twosquares.route import factorize, is_prime, route_representations, two_squares
+from twosquares.scan import SIEVE_MODULI
 
 CAP = 2**63 - 1
 
@@ -56,6 +59,26 @@ def test_route_matches_the_scan_by_decade_and_class_mod_400():
         for c in classes * 4:
             n = 400 * rng.randrange(lo // 400, hi // 400) + c
             assert route_representations(n) == representations(n), n
+
+
+def test_route_matches_the_scan_by_shared_sieve_moduli():
+    # N divisible by 1, 3 or all 5 of the leaf sieve's prime moduli that
+    # are 1 (mod 4), the first of them once or squared, times a seeded
+    # cofactor; N is kept when it is eligible, below 10^14 and divisible
+    # by no other of the five
+    moduli = (13, 17, 29, 37, 41)
+    assert set(moduli) <= set(SIEVE_MODULI)
+    rng = random.Random(41)
+    for shared in (1, 3, 5):
+        for power in (1, 2):
+            kept = 0
+            while kept < 60:
+                chosen = rng.sample(moduli, shared)
+                base = chosen[0] ** power * prod(chosen[1:])
+                n = base * rng.randrange(1, 10**14 // base)
+                if classify(n).is_eligible and sum(n % p == 0 for p in moduli) == shared:
+                    assert route_representations(n) == representations(n), n
+                    kept += 1
 
 
 def test_window_pass_matches_the_route_by_decade():
@@ -155,3 +178,37 @@ def test_verify_loads_the_route():
     code = COMMANDS + LOADED
     code += "from twosquares import verify\nassert verify(decide(1000009))\n" + LOADED
     assert modules_after(code) == "False\nTrue\n"
+
+
+def test_verify_loads_no_scan_code():
+    # a verifier that imports twosquares.certify alone parses and verifies
+    # a certificate of each verdict, and loads none of the scan engine
+    certs = [decide(n) for n in (1000081, 1000009, 1000021, 1000003)]
+    assert {cert.verdict for cert in certs} == set(Verdict)
+    code = (
+        "import sys\n"
+        "from twosquares.certify import certificate_from_json, verify\n"
+        f"for doc in {[certificate_to_json(cert) for cert in certs]!r}:\n"
+        "    assert verify(certificate_from_json(doc))\n"
+        "print([m for m in ('scan', 'represent', 'report') if f'twosquares.{m}' in sys.modules])\n"
+    )
+    assert modules_after(code) == "[]\n"
+
+
+def test_the_package_exports_the_certificate_api():
+    assert sorted(twosquares.__all__) == [
+        "Verdict",
+        "certificate_from_json",
+        "certificate_to_json",
+        "classify",
+        "decide",
+        "gcd_fraction_factor",
+        "klmn_factor",
+        "klmn_factor_mixed",
+        "verify",
+    ]
+    namespace: dict = {}
+    exec("from twosquares import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(twosquares.__all__)
+    assert not any(isinstance(value, types.ModuleType) for value in namespace.values())

@@ -9,12 +9,12 @@ certificate file of more than MAX_CERTIFICATE_BYTES = 2**20 bytes), an
 of more than MAX_TABLE_ROWS = 10**6 rows, which are refused before
 anything is written.  prove takes its certificate, and with
 --emit-tables its tables, from one walk of the scan tree.  sweep takes
-one window pass when a cost rule timed on both paths rates it cheaper
-than one decide per N; same CSV.  Only sweep's per-N path with --jobs
-above 1 loads the process pool.  Every command writes through
-_write_out, and output streams, never joined or re-parsed whole: a
-failure part-way (out of memory, say) leaves what was written, and
-`| head` still exits 0.
+one window pass when a cost rule rates it cheaper than N's factorization
+route (route.py) per N, else it imports and takes the route; same CSV as
+one decide per N.  Every command writes through _write_out.  prove and
+scan stream, never joined or re-parsed whole: a failure part-way (out of
+memory, say) leaves what was written, and `| head` still exits 0.  sweep
+writes one joined string until the benchmark counts bytes as consumed.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .certify import (
     certificate_for,
     certificate_from_json,
     certificate_to_json,
-    decide,
     verify,
 )
 from .classify import Eligibility, classify, eligible_range
@@ -50,10 +49,10 @@ MAX_TABLE_ROWS = 10**6
 # N <= 2**63 - 1 (1,152 representations) is about 100 KB
 MAX_CERTIFICATE_BYTES = 2**20
 
-# sweep's path costs in leaf-sieve rows, timed in one process on one core of
-# a 2-core Xeon: a y-step of the window pass, certificates included, and
-# decide's cost per N before its sqrt(N)/17 rows
-WINDOW_STEP_ROWS, DECIDE_SETUP_ROWS = 620, 105000
+# sweep's cost rule counts y-steps of the window pass, sqrt(hi)/5 of them
+# at any width; the route costs about ROUTE_STEPS * N**(1/8) of them per N,
+# a fit from 10**7 to the cap timed in one process on one core of a 2-core Xeon
+ROUTE_STEPS = 10
 
 
 def _natural(text: str) -> int:
@@ -106,14 +105,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
     n, elig = args.n, classify(args.n)
     roots = [str(r) for r in elig.roots_mod25]
     if args.format == "json":
-        # the bytes json.dumps(doc, indent=2) + "\n" gives: every value is
-        # a decimal string or a status name, so nothing needs escaping
-        listed = ",\n    ".join(f'"{r}"' for r in roots)
-        pieces = [
-            f'{{\n  "n": "{n}",\n  "status": "{elig.status.value}",\n  "n_mod4": "{n % 4}",\n',
-            f'  "last_digit": "{n % 10}",\n  "n_mod25": "{n % 25}",\n',
-            f'  "roots_mod25": [\n    {listed}\n  ]\n}}\n' if roots else '  "roots_mod25": []\n}\n',
-        ]
+        doc = {
+            "n": str(n),
+            "status": elig.status.value,
+            "n_mod4": str(n % 4),
+            "last_digit": str(n % 10),
+            "n_mod25": str(n % 25),
+            "roots_mod25": roots,
+        }
+        pieces = [json.dumps(doc, indent=2) + "\n"]
     else:
         pieces = [
             f"n = {n}\n",
@@ -166,16 +166,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     ns = eligible_range(args.start, args.stop)
     root = isqrt(args.stop)
-    if WINDOW_STEP_ROWS * (root // 5 + 1) <= len(ns) * (root // 17 + DECIDE_SETUP_ROWS):
+    if root // 5 + 1 <= len(ns) * ROUTE_STEPS * isqrt(isqrt(root)):
         found = window_representations(args.start, args.stop)
         certs = (certificate_for(classify(n), found.pop(n, [])) for n in ns)
-    elif (workers := min(args.jobs, os.cpu_count() or 1, len(ns))) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            certs = list(pool.map(decide, ns, chunksize=64))
     else:
-        certs = [decide(n) for n in ns]
+        from .route import route_representations
+
+        certs = (certificate_for(classify(n), route_representations(n)) for n in ns)
     return _write_out([sweep_csv(certs)], args.out)
 
 
@@ -237,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("start", type=_natural)
     p.add_argument("stop", type=_natural)
     p.add_argument("--out", metavar="FILE")
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help="no effect; sweep runs in one process")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="check a certificate file independently")

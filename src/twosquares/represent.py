@@ -7,7 +7,7 @@ The window pass, window_representations(), lists every eligible
 x^2 + y^2 in [lo, hi] at once, for sweep: it steps the member y that
 is divisible by 5, then sorts each n's list by descending a.  The
 brute-force oracle, oracle_representations(), is the tests' reference:
-the scan and the verifier's factorization route (route.py) are both
+the scan and the factorization route (route.py) are both
 checked against it.  The Representation record they all return lives
 in arith.py, so the verifier shares it without loading this module;
 twosquares.represent.Representation still names it.

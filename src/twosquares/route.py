@@ -1,4 +1,4 @@
-"""N's representations from its factorization: the verifier's route.
+"""N's representations from its factorization, for verify and sweep.
 
 Unique factorization in Z[i] turns N's prime factorization into its
 complete list of representations.  A prime p = 1 (mod 4) splits as
@@ -12,8 +12,8 @@ The factorization is exact: trial division by the primes below 100,
 Miller-Rabin on the first 12 prime bases (deterministic below
 3.3 * 10**24, Sorenson and Webster 2015, far past the 2**63 - 1 cap),
 and Pollard rho with Brent's cycle search (Brent 1980) for composite
-cofactors.  Nothing here runs the scan engine; certify.verify() imports
-this module when it first runs, so no other command loads it.
+cofactors.  Nothing here runs the scan engine; only certify.verify()
+and sweep's per-N path import this module, when they first run.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def factorize(n: int) -> dict[int, int]:
     pending = [(n, 1)] if n > 1 else []
     while pending:
         m, e = pending.pop()
-        if is_prime(m):
+        if m < 100 * 100 or is_prime(m):  # no prime below 100 divides m
             factors[m] = factors.get(m, 0) + e
         elif (r := isqrt(m)) * r == m:
             pending.append((r, 2 * e))

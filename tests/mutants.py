@@ -62,6 +62,7 @@ ANNULUS = f"{SWEEP}::test_window_representations_match_the_annulus_pass"
 WINDOW_ROUTE = f"{ROUTE}::test_window_pass_matches_the_route_by_decade"
 NO_SCAN_CODE = f"{ROUTE}::test_verify_loads_no_scan_code"
 REPORT = "tests/test_report.py"
+CROSSOVER = f"{SWEEP}::test_path_rule_crossover"
 
 MUTANTS = [
     Mutant(
@@ -310,7 +311,7 @@ MUTANTS = [
             WINDOW_ROUTE,
             f"{SWEEP}::test_window_ends_are_sums_of_two_squares",
             f"{SWEEP}::test_window_pass_matches_per_n_sweep",
-            f"{SWEEP}::test_path_rule_crossover",
+            CROSSOVER,
             f"{SWEEP}::test_window_representations_match_the_scan",
         ),
     ),
@@ -320,6 +321,20 @@ MUTANTS = [
         "lo = max(lo, MIN_ELIGIBLE)",
         "lo = max(lo, 1)",
         (ANNULUS, WINDOW_ROUTE),
+    ),
+    Mutant(
+        "the route path handing certificate_for one representation short",
+        "twosquares/cli.py",
+        "route_representations(n))",
+        "route_representations(n)[:-1])",
+        (CROSSOVER,),
+    ),
+    Mutant(
+        "the path rule's comparison flipped",
+        "twosquares/cli.py",
+        "if root // 5 + 1 <= len(ns)",
+        "if root // 5 + 1 > len(ns)",
+        (CROSSOVER,),
     ),
     Mutant(
         "a column's width taken from its head cell only",

@@ -46,8 +46,8 @@ def indented_certificate_json(cert: Certificate) -> str:
 
 
 def per_n_sweep(lo: int, hi: int) -> str:
-    """The sweep CSV of [lo, hi] by one decide per eligible N, the path
-    `twosquares sweep` takes for windows too narrow for its window pass."""
+    """The sweep CSV of [lo, hi] by one decide per eligible N, the
+    reference for both of `twosquares sweep`'s paths."""
     return sweep_csv([decide(n) for n in eligible_range(lo, hi)])
 
 

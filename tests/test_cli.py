@@ -179,10 +179,17 @@ def test_reader_closing_early_exits_zero():
 
 
 def test_import_loads_no_process_pool():
-    # only sweep's per-N path with --jobs above 1 needs the pool's modules
+    # sweep runs in one process: --jobs changes no byte of a narrow sweep,
+    # which takes the route per N, and the pool's modules stay unloaded
     code = (
-        "import sys, twosquares.cli; "
-        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        "import contextlib, io, sys, twosquares.cli\n"
+        "outs = set()\n"
+        "for jobs in ([], ['--jobs', '1'], ['--jobs', '8']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        assert twosquares.cli.main(['sweep', '1000000000000', '1000000000400', *jobs]) == 0\n"
+        "    outs.add(out.getvalue())\n"
+        "print(len(outs), 'twosquares.route' in sys.modules)\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -191,7 +198,7 @@ def test_import_loads_no_process_pool():
         text=True,
         timeout=60,
     )
-    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1 True\n[]\n", "")
 
 
 def malformed(edit) -> str:
@@ -259,16 +266,6 @@ def test_sweep_empty_range(capsys):
     assert out == "n,verdict,rep_count,factor1,factor2\n"
 
 
-def test_sweep_deterministic_across_jobs(capsys, tmp_path):
-    f1, f2, f3 = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
-    # a window narrow enough at 10^12 to take one decide per N, so the pool runs
-    lo, hi = "1000000000000", "1000000000400"
-    assert main(["sweep", lo, hi, "--out", str(f1)]) == 0
-    assert main(["sweep", lo, hi, "--out", str(f2)]) == 0
-    assert main(["sweep", lo, hi, "--jobs", "2", "--out", str(f3)]) == 0
-    assert f1.read_bytes() == f2.read_bytes() == f3.read_bytes()
-
-
 def test_numeric_arguments_validated(capsys):
     argvs = [["prove", "abc"], ["classify", str(2**63)], ["prove", "-5"]]
     # other spellings of 1000081 that int() accepts
@@ -283,45 +280,7 @@ def test_numeric_arguments_validated(capsys):
     capsys.readouterr()
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """The max_workers of every pool sweep starts: ProcessPoolExecutor is
-    replaced by a RecordingPool, which maps in-process, so no worker starts."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    return sizes
-
-
-def test_sweep_jobs_clamped(capsys, monkeypatch, pool_sizes):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    # windows that take one decide per N, the only path with a pool
-    lo, hi = "1000000000000", "1000000000400"
-    _, serial, _ = run(capsys, "sweep", lo, hi)
-    # 4 CPUs bound a huge --jobs; 3 eligible n bound it further;
-    # a pool of one runs serially without a pool
-    assert run(capsys, "sweep", lo, hi, "--jobs", "1000000")[1] == serial
-    assert run(capsys, "sweep", "1000000000061", "1000000000081", "--jobs", "1000000")[0] == 0
-    assert run(capsys, "sweep", "1000000000061", "1000000000061", "--jobs", "1000000")[0] == 0
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert run(capsys, "sweep", lo, hi, "--jobs", "8")[1] == serial
-    assert pool_sizes == [4, 3]
-
-
-def test_one_parser_serves_many_calls(capsys, monkeypatch, pool_sizes):
+def test_one_parser_serves_many_calls(capsys):
     # the parser is built once per process; no call's options reach the next
     assert cli.build_parser() is cli.build_parser()
     tables = (GOLDEN / "cli_prove_1000009_tables.txt").read_text(encoding="utf-8")
@@ -334,12 +293,6 @@ def test_one_parser_serves_many_calls(capsys, monkeypatch, pool_sizes):
     assert exc.value.code == 2
     capsys.readouterr()
     assert run(capsys, "prove", "1000081") == good
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    # a window that takes one decide per N, the only path with a pool
-    lo, hi = "1000000000000", "1000000000400"
-    pooled = run(capsys, "sweep", lo, hi, "--jobs", "2")
-    assert run(capsys, "sweep", lo, hi) == pooled
-    assert pool_sizes == [2]
 
 
 def test_cli_output_byte_identical(capsys):

@@ -158,20 +158,23 @@ def modules_after(code: str) -> str:
 COMMANDS = (
     "import contextlib, io, sys\n"
     "from twosquares import cli, decide\n"
+    "def run(*argv):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        assert cli.main(list(argv)) == 0, argv\n"
     "decide(1000009)\n"
-    "with contextlib.redirect_stdout(io.StringIO()):\n"
-    "    for argv in (['prove', '1000009'], ['scan', '1000009'],\n"
-    "                 ['sweep', '1000000', '1002000'],\n"
-    "                 ['sweep', '1000000000000000', '1000000000000100']):\n"
-    "        assert cli.main(argv) == 0, argv\n"
+    "run('prove', '1000009')\n"
+    "run('scan', '1000009')\n"
+    "run('sweep', '1000000', '1002000')\n"
 )
 LOADED = "print('twosquares.route' in sys.modules)\n"
 
 
-def test_only_verify_loads_the_route():
-    # decide, prove, scan and both of sweep's paths neither compile nor
-    # load the route, so its source adds nothing to their start-up
-    assert modules_after(COMMANDS + LOADED) == "False\n"
+def test_only_verify_and_the_narrow_sweep_load_the_route():
+    # decide, prove, scan and sweep's window pass neither compile nor load
+    # the route, so its source adds nothing to their start-up; a sweep too
+    # narrow for the pass takes the route per N
+    code = COMMANDS + LOADED + "run('sweep', '1000000000000000', '1000000000000100')\n" + LOADED
+    assert modules_after(code) == "False\nTrue\n"
 
 
 def test_verify_loads_the_route():

@@ -1,4 +1,5 @@
-"""The sweep's window pass against one decide per N and the annulus pass it replaced."""
+"""The sweep's two paths, the window pass and the route per N, against one
+decide per N, and the window pass against the annulus pass it replaced."""
 
 import random
 
@@ -52,12 +53,19 @@ def test_window_ends_are_sums_of_two_squares(lo, hi):
 @pytest.mark.parametrize(
     "lo, hi, windowed",
     [
-        # 2 and 3 eligible N: 3 * (3162 // 17 + 105000) = 315558 < 620 * (3162 // 5 + 1) = 392460
+        # near 10^7 the pass takes 3162 // 5 + 1 = 633 y-steps and the route
+        # 10 * isqrt(isqrt(3162)) = 70 per N: 2, 3 and 9 eligible N route
         (10**7, 10**7 + 20, False),
         (10**7, 10**7 + 28, False),
-        # 4 eligible N cross it: 420744
-        (10**7, 10**7 + 29, True),
+        (10**7, 10**7 + 88, False),
+        # 10 eligible N cross it: 700
+        (10**7, 10**7 + 89, True),
         (10**12 + 61, 10**12 + 81, False),
+        # near 10^12, 200001 y-steps against 310 per N: 645 N route, 646 cross
+        (10**12, 10**12 + 6448, False),
+        (10**12, 10**12 + 6449, True),
+        # 6324556 y-steps against 740 per N for 100 N
+        (10**15, 10**15 + 1000, False),
     ],
 )
 def test_path_rule_crossover(capsys, monkeypatch, lo, hi, windowed):

@@ -4,10 +4,11 @@ certificate_for() is the table of verdicts: it turns N's complete
 representation list into the one certificate that list implies.
 decide() feeds it the scan engine's list; verify() feeds it the list
 that N's factorization implies (route.py: Miller-Rabin, Pollard-Brent
-rho and Hermite-Serret) and accepts only the same certificate, then
-re-checks primality by Miller-Rabin, the factor product and the
-witness identities without the scan engine, so a verifier needs none
-of the machinery that produced the certificate.  Each entry point
+rho and Hermite-Serret), factoring N from the certificate's own split
+once f1 * f2 = N is checked, and accepts only the same certificate; a
+prime must factor as itself, and the witness identities are re-checked
+without the scan engine, so a verifier needs none of the machinery
+that produced the certificate.  Each entry point
 imports its engine when it first runs, decide() the scan and verify()
 the route, so importing this module loads neither, and a verifier
 never loads the scan.
@@ -103,24 +104,34 @@ def decide(n: int) -> Certificate:
 
 def verify(cert: Certificate) -> bool:
     """Rebuild the certificate from the representation list that N's
-    factorization implies and accept only an exact match; then re-check
-    the primality by Miller-Rabin, the factor product, and the witness
-    with witness_violation, the check factor recovery ends with.  Never
-    runs the scan engine.  False on any mismatch."""
-    from .route import is_prime, route_representations
+    factorization implies and accept only an exact match.  A certificate
+    that names a split f1 * f2 = N is checked for 1 < f1 <= f2 < N and
+    the product first, and N's factorization is merged from f1's and
+    f2's; else N is factored whole.  A prime is accepted only when that
+    factorization is N alone, and a witness only when witness_violation,
+    the check factor recovery ends with, finds nothing.  Never runs the
+    scan engine.  False on any mismatch."""
+    from .route import factored_representations, factorize
 
     try:
         n = cert.n
         elig = classify(n)
-        reps = route_representations(n) if elig.is_eligible else []
-        if cert != certificate_for(elig, reps):
-            return False
-        if cert.verdict is Verdict.PRIME and not is_prime(n):
-            return False
-        if cert.factors is not None:
+        if cert.factors is None:
+            factors = factorize(n) if elig.is_eligible else {}
+        else:
             f1, f2 = cert.factors
             if not (1 < f1 <= f2 < n and f1 * f2 == n):
                 return False
+            # exact whichever split is named; a split other than the one
+            # certificate_for gives fails the match below
+            factors = factorize(f1)
+            for p, e in factorize(f2).items():
+                factors[p] = factors.get(p, 0) + e
+        reps = factored_representations(factors) if elig.is_eligible else []
+        if cert != certificate_for(elig, reps):
+            return False
+        if cert.verdict is Verdict.PRIME and factors != {n: 1}:
+            return False
         return cert.witness is None or witness_violation(n, cert.witness) is None
     except (ValueError, OverflowError, TypeError):
         return False

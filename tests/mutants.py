@@ -205,7 +205,7 @@ MUTANTS = [
     Mutant(
         "verify without its primality re-check",
         "twosquares/certify.py",
-        "and not is_prime(n):",
+        "and factors != {n: 1}:",
         "and False:",
         (f"{CERTIFY}::test_verify_rechecks_primality_by_miller_rabin",),
     ),
@@ -215,6 +215,20 @@ MUTANTS = [
         "if not (1 < f1 <= f2 < n and f1 * f2 == n):",
         "if False:",
         (f"{CERTIFY}::test_verify_rechecks_the_factor_range",),
+    ),
+    Mutant(
+        "verify factoring from the named factors without checking f1 * f2 = N",
+        "twosquares/certify.py",
+        "and f1 * f2 == n):",
+        "):",
+        (f"{CERTIFY}::test_verify_rejects_a_split_whose_product_is_not_n",),
+    ),
+    Mutant(
+        "verify's merge of the split's factorizations dropping an exponent",
+        "twosquares/certify.py",
+        "factors[p] = factors.get(p, 0) + e",
+        "factors[p] = e",
+        (f"{CERTIFY}::test_verify_merges_a_split_whose_halves_share_a_prime",),
     ),
     Mutant(
         "verify without its witness re-check",
@@ -260,6 +274,23 @@ MUTANTS = [
             f"{ROUTE}::test_two_squares_of_every_prime_below_10_5",
             f"{ROUTE}::test_route_matches_the_oracle_below_30000",
         ),
+    ),
+    Mutant(
+        "Hermite-Serret's reciprocity test with its sign flipped",
+        "twosquares/route.py",
+        "while _jacobi(p % c, c) == 1:",
+        "while _jacobi(p % c, c) == -1:",
+        (
+            f"{ROUTE}::test_two_squares_of_every_prime_below_10_5",
+            f"{ROUTE}::test_two_squares_past_a_large_least_non_residue",
+        ),
+    ),
+    Mutant(
+        "a Miller-Rabin tier one base short",
+        "twosquares/route.py",
+        "(3215031751, 4)",
+        "(3215031751, 3)",
+        (f"{ROUTE}::test_each_miller_rabin_tier_ends_at_its_first_strong_pseudoprime",),
     ),
     Mutant(
         "Miller-Rabin without its last base, 37",

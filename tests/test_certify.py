@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from dataclasses import replace
@@ -16,6 +17,7 @@ from twosquares.certify import (
     decide,
     verify,
 )
+from twosquares.classify import classify
 from twosquares.factorize import witness_violation
 from twosquares.represent import Representation
 
@@ -229,6 +231,55 @@ def test_verify_rechecks_the_factor_range(monkeypatch):
     )
     assert forged.witness is None
     assert not verify_past_the_match(monkeypatch, forged)
+
+
+# verify factors N from the split a certificate names, so it checks the
+# split first; these are rejected with certificate_for itself in place
+
+def test_verify_rejects_a_split_whose_product_is_not_n():
+    # 45 = 6^2 + 3^2 = 5 * 9: the certificate 49 would get if 6^2 + 3^2
+    # represented it names the split of 45, and factoring 5 and 9 rebuilds
+    # that same certificate, so only the product check rejects it
+    forged = certify.certificate_for(classify(49), [Representation.of(6, 3)])
+    assert forged.factors == (5, 9)
+    assert not verify(forged)
+
+
+def test_verify_rejects_a_valid_split_other_than_its_own():
+    cert = decide(4901)  # 13^2 * 29
+    assert cert.factors == (13, 377)
+    assert not verify(replace(cert, factors=(29, 169)))
+
+
+def test_verify_rejects_a_split_off_one_or_out_of_order():
+    cert = decide(1000009)
+    f1, f2 = cert.factors
+    assert not verify(replace(cert, factors=(1, 1000009)))
+    assert not verify(replace(cert, factors=(f2, f1)))
+
+
+def test_verify_merges_a_split_whose_halves_share_a_prime():
+    for n, split in ((81, (9, 9)), (1521, (13, 117)), (4901, (13, 377))):
+        cert = decide(n)
+        assert cert.factors == split
+        assert verify(cert), n
+
+
+def test_verify_leaves_no_cyclic_garbage():
+    # a run of accepted and rejected certificates sets off no collection
+    certs = [decide(n) for n in (1000009, 1000081, 21, 81, 10)]
+    certs += [
+        replace(certs[0], factors=(3, 5)),
+        replace(certs[1], verdict=Verdict.INELIGIBLE),
+        replace(certs[1], n=2**63),  # classify raises, and verify catches it
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        assert [verify(cert) for cert in certs] == [True] * 5 + [False] * 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_serialization_roundtrip_byte_identical():

@@ -18,10 +18,10 @@ from pathlib import Path
 from test_constructed import expected_count
 
 import twosquares
-from twosquares import Verdict, certificate_to_json, decide
+from twosquares import Verdict, certificate_to_json, decide, route
 from twosquares.classify import classify, eligible_range
 from twosquares.represent import oracle_representations, representations, window_representations
-from twosquares.route import factorize, is_prime, route_representations, two_squares
+from twosquares.route import MR_BASES, factorize, is_prime, route_representations, two_squares
 from twosquares.scan import SIEVE_MODULI
 
 CAP = 2**63 - 1
@@ -29,6 +29,45 @@ CAP = 2**63 - 1
 
 def by_trial(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def strong_probable_prime(n: int, bases) -> bool:
+    """Miller-Rabin on bases alone, for odd n past every base: with
+    n - 1 = 2^s * d, d odd, n passes base a when a^d = 1 or one of
+    a^d, a^(2d), ..., a^(2^(s-1) d) is -1 (mod n)."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in bases:
+        chain = [pow(a, d, n)]
+        for _ in range(s - 1):
+            chain.append(chain[-1] ** 2 % n)
+        if chain[0] != 1 and n - 1 not in chain:
+            return False
+    return True
+
+
+def twelve_bases(n: int) -> bool:
+    """The unsized test: trial division by MR_BASES, then all 12."""
+    if n < 2 or n in MR_BASES:
+        return n in MR_BASES
+    return all(n % a for a in MR_BASES) and strong_probable_prime(n, MR_BASES)
+
+
+#: psi_k of OEIS A014233 for each k that ends a tier: the least odd
+#: composite that passes the first k prime bases (psi_8 = psi_7 and
+#: psi_10 = psi_11 = psi_9)
+PSI = {
+    1: 2047,
+    2: 1373653,
+    3: 25326001,
+    4: 3215031751,
+    5: 2152302898747,
+    6: 3474749660383,
+    7: 341550071728321,
+    9: 3825123056546413051,
+    12: 318665857834031151167461,
+}
 
 
 def assert_route_complete(factors: dict[int, int]) -> list:
@@ -103,6 +142,55 @@ def test_is_prime_rejects_strong_pseudoprimes():
     assert not is_prime(3825123056546413051)
     assert 3825123056546413051 < CAP
     assert is_prime(2**61 - 1) and is_prime(9223372036854775549)
+
+
+def test_each_miller_rabin_tier_ends_at_its_first_strong_pseudoprime():
+    # psi_k passes the first k bases, and every base short of the next
+    # tier's count, so those bases are exact only below it; from psi_k on
+    # is_prime takes the next tier's bases, which reject it
+    tiers = list(PSI.items())
+    for (k, psi), (k_next, _) in zip(tiers, tiers[1:]):
+        assert strong_probable_prime(psi, MR_BASES[: k_next - 1]), k
+        assert not strong_probable_prime(psi, MR_BASES[:k_next]), k
+        assert not is_prime(psi), k
+    # the last tier ends past the cap: psi_12 passes every base there is
+    assert PSI[12] == 399165290221 * 798330580441 > CAP > PSI[9]
+    assert strong_probable_prime(PSI[12], MR_BASES) and is_prime(PSI[12])
+
+
+def test_sized_miller_rabin_agrees_with_twelve_bases():
+    assert all(is_prime(n) == twelve_bases(n) for n in range(10**6))
+    # seeded odd n per decade up to the cap, and the next prime after each
+    rng = random.Random(24)
+    for digits in range(7, 20):
+        lo, hi = 10 ** (digits - 1), min(10**digits, CAP)
+        for _ in range(40):
+            n = rng.randrange(lo, hi) | 1
+            assert is_prime(n) == twelve_bases(n), n
+            while not twelve_bases(n):
+                n += 2
+            assert is_prime(n), n
+
+
+def test_two_squares_past_a_large_least_non_residue(monkeypatch):
+    # least non-residues 17, 29 and 71: reciprocity passes over every c
+    # below them on numbers below c, and one power mod p remains
+    powers = []
+
+    def counted_pow(*args):
+        powers.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(route, "pow", counted_pow, raising=False)
+    for p, least in ((8089, 17), (87481, 29), (175244281, 71)):
+        assert by_trial(p) and p % 4 == 1
+        assert next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1) == least
+        powers.clear()
+        a, b = two_squares(p)
+        assert powers == [(least, (p - 1) // 4, p)], p
+        # the smallest b with p - b^2 square gives the largest a
+        b_least = next(y for y in range(isqrt(p)) if isqrt(p - y * y) ** 2 == p - y * y)
+        assert (a, b) == (isqrt(p - b_least**2), b_least), p
 
 
 def test_two_squares_of_every_prime_below_10_5():
